@@ -1,11 +1,12 @@
 // Composition: use the parallel image-composition library standalone, the
 // way a scientific-visualization cluster would (paper Section II-D).
 //
-// Eight "GPUs" each render a slice of a synthetic particle volume into
-// their own full-screen sub-image; the example then composes the
-// sub-images with direct-send, binary-swap, and radix-k, verifies all
-// three produce the identical image, and compares their communication
-// costs — the trade-off CHOPIN's composition scheduler navigates.
+// Sixteen "GPUs" each render a slice of a synthetic particle volume into
+// their own full-screen sub-image; the example then builds direct-send,
+// binary-swap, radix-k and mixed-radix exchange plans, applies each to the
+// sub-images, verifies they all produce the reference image, and compares
+// their communication costs — the trade-off CHOPIN's composition scheduler
+// navigates.
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 
 	"chopin/internal/colorspace"
 	"chopin/internal/composite"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
 
@@ -62,31 +64,33 @@ func main() {
 
 	ref := composite.DepthReference(subs, colorspace.CmpLess)
 
-	type algo struct {
-		name string
-		run  func() (*framebuffer.Buffer, composite.Traffic, error)
+	algos := []struct {
+		alg plan.Algorithm
+		k   int
+	}{
+		{plan.AlgDirectSend, 0},
+		{plan.AlgBinarySwap, 0},
+		{plan.AlgRadixK, 4},
+		{plan.AlgMixedRadix, 0},
 	}
-	algos := []algo{
-		{"direct-send", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			img, tr := composite.DirectSend(subs, colorspace.CmpLess)
-			return img, tr, nil
-		}},
-		{"binary-swap", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			return composite.BinarySwap(subs, colorspace.CmpLess)
-		}},
-		{"radix-k (k=4)", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			return composite.RadixK(subs, colorspace.CmpLess, 4)
-		}},
-	}
-	fmt.Printf("%-14s %8s %10s %8s %8s\n", "algorithm", "rounds", "messages", "MB", "correct")
+	fmt.Printf("%-14s %8s %10s %8s %8s\n", "algorithm", "rounds", "sessions", "MB", "correct")
 	for _, a := range algos {
-		img, tr, err := a.run()
+		name := a.alg.String()
+		if a.k != 0 {
+			name = fmt.Sprintf("%s (k=%d)", name, a.k)
+		}
+		p, err := plan.For(a.alg, gpus, height, a.k, plan.AssocCommutative, 1)
 		if err != nil {
-			fmt.Printf("%-14s failed: %v\n", a.name, err)
+			fmt.Printf("%-14s failed: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-14s %8d %10d %8.2f %8v\n",
-			a.name, tr.Rounds, tr.Messages, float64(tr.Bytes)/(1<<20), img.Equal(ref, 0))
+		img, pixels, err := composite.Apply(p, subs, colorspace.CmpLess)
+		if err != nil {
+			fmt.Printf("%-14s failed: %v\n", name, err)
+			os.Exit(1)
+		}
+		mb := float64(pixels) * framebuffer.OpaqueCompositionBytesPerPixel / (1 << 20)
+		fmt.Printf("%-14s %8d %10d %8.2f %8v\n", name, len(p.Rounds), p.Sessions(), mb, img.Equal(ref, 0))
 	}
 
 	// Transparent composition: associativity lets adjacent layers merge in

@@ -1,10 +1,12 @@
 package composite
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
 
@@ -174,27 +176,70 @@ func TestComposeEmptyInputs(t *testing.T) {
 	if DepthReference(nil, colorspace.CmpLess) != nil {
 		t.Error("DepthReference(nil) should be nil")
 	}
-	if r, _ := DirectSend(nil, colorspace.CmpLess); r != nil {
-		t.Error("DirectSend(nil) should be nil")
+}
+
+// schedulePlans builds, through plan.For, every exchange plan that supports
+// n GPUs over h rows: direct-send, binary-swap, mixed-radix, and radix-k at
+// each radix in ks. An algorithm that does not support n must be refused
+// with an error, never built.
+func schedulePlans(t *testing.T, n, h int, ks ...int) []*plan.Plan {
+	t.Helper()
+	var out []*plan.Plan
+	add := func(alg plan.Algorithm, k int, supported bool) {
+		p, err := plan.For(alg, n, h, k, plan.AssocCommutative, 1)
+		switch {
+		case supported && err != nil:
+			t.Fatalf("plan.For(%s, n=%d, k=%d): %v", alg, n, k, err)
+		case !supported && err == nil:
+			t.Fatalf("plan.For(%s, n=%d, k=%d): want an unsupported-count error", alg, n, k)
+		case supported:
+			out = append(out, p)
+		}
 	}
+	add(plan.AlgDirectSend, 0, true)
+	add(plan.AlgBinarySwap, 0, n&(n-1) == 0)
+	add(plan.AlgMixedRadix, 0, true)
+	for _, k := range ks {
+		add(plan.AlgRadixK, k, isPowerOf(n, k))
+	}
+	return out
+}
+
+// planName labels a plan in failure messages.
+func planName(p *plan.Plan) string {
+	if p.Alg == plan.AlgRadixK {
+		return fmt.Sprintf("%s(k=%d)", p.Alg, p.K)
+	}
+	return p.Alg.String()
+}
+
+// applyFor builds one plan with plan.For and applies it to subs.
+func applyFor(t *testing.T, alg plan.Algorithm, k int, subs []*framebuffer.Buffer) (*plan.Plan, *framebuffer.Buffer, int) {
+	t.Helper()
+	p, err := plan.For(alg, len(subs), subs[0].Height(), k, plan.AssocCommutative, 1)
+	if err != nil {
+		t.Fatalf("plan.For(%s, n=%d, k=%d): %v", alg, len(subs), k, err)
+	}
+	img, px, err := Apply(p, subs, colorspace.CmpLess)
+	if err != nil {
+		t.Fatalf("Apply(%s, n=%d): %v", planName(p), len(subs), err)
+	}
+	return p, img, px
 }
 
 func TestDirectSendMatchesReference(t *testing.T) {
 	subs := randomSubImages(t, 8, 128, 96, 11)
 	ref := DepthReference(subs, colorspace.CmpLess)
-	got, tr := DirectSend(subs, colorspace.CmpLess)
+	p, got, px := applyFor(t, plan.AlgDirectSend, 0, subs)
 	if !got.Equal(ref, 0) {
 		t.Fatalf("direct-send differs from reference in %d pixels", got.DiffCount(ref, 0))
 	}
-	if tr.Rounds != 1 {
-		t.Errorf("direct-send rounds = %d, want 1", tr.Rounds)
+	if len(p.Rounds) != 1 || p.Sessions() != 8*7 {
+		t.Errorf("direct-send: %d rounds, %d sessions; want 1 round of 56", len(p.Rounds), p.Sessions())
 	}
-	if tr.Messages == 0 || tr.Bytes == 0 {
-		t.Errorf("traffic not accounted: %+v", tr)
-	}
-	// Direct-send sends at most N·(N−1) messages.
-	if tr.Messages > 8*7 {
-		t.Errorf("messages = %d, want <= 56", tr.Messages)
+	// Each receiver merges at most its owned share of every other sub-image.
+	if px == 0 || px > 7*128*96 {
+		t.Errorf("direct-send merged %d pixels, want 1..%d", px, 7*128*96)
 	}
 }
 
@@ -202,25 +247,22 @@ func TestBinarySwapMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		subs := randomSubImages(t, n, 64, 64, int64(20+n))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, tr, err := BinarySwap(subs, colorspace.CmpLess)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, got, _ := applyFor(t, plan.AlgBinarySwap, 0, subs)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d: binary-swap differs in %d pixels", n, got.DiffCount(ref, 0))
 		}
-		wantRounds := 1 // gather
+		wantRounds := 0
 		for m := 1; m < n; m *= 2 {
 			wantRounds++
 		}
-		if tr.Rounds != wantRounds {
-			t.Errorf("n=%d: rounds = %d, want %d", n, tr.Rounds, wantRounds)
+		if len(p.Rounds) != wantRounds {
+			t.Errorf("n=%d: rounds = %d, want %d", n, len(p.Rounds), wantRounds)
 		}
 	}
 }
 
 func TestBinarySwapRequiresPowerOfTwo(t *testing.T) {
-	if _, _, err := BinarySwap(randomSubImages(t, 3, 32, 32, 1), colorspace.CmpLess); err == nil {
+	if _, err := plan.For(plan.AlgBinarySwap, 3, 32, 0, plan.AssocCommutative, 1); err == nil {
 		t.Error("expected error for n=3")
 	}
 }
@@ -230,10 +272,7 @@ func TestRadixKMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		subs := randomSubImages(t, c.n, 64, 64, int64(30+c.n*c.k))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, _, err := RadixK(subs, colorspace.CmpLess, c.k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, got, _ := applyFor(t, plan.AlgRadixK, c.k, subs)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d k=%d: radix-k differs in %d pixels", c.n, c.k, got.DiffCount(ref, 0))
 		}
@@ -241,46 +280,8 @@ func TestRadixKMatchesReference(t *testing.T) {
 }
 
 func TestRadixKDegenerateCases(t *testing.T) {
-	if _, _, err := RadixK(randomSubImages(t, 6, 32, 32, 1), colorspace.CmpLess, 4); err == nil {
+	if _, err := plan.For(plan.AlgRadixK, 6, 32, 4, plan.AssocCommutative, 1); err == nil {
 		t.Error("expected error for non-power group size")
-	}
-}
-
-func TestRadixKEqualsBinarySwapTraffic(t *testing.T) {
-	// radix-2 is binary-swap: same rounds, same message count.
-	subs := randomSubImages(t, 8, 64, 64, 77)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
-	_, rk, _ := RadixK(subs, colorspace.CmpLess, 2)
-	if bs.Rounds != rk.Rounds {
-		t.Errorf("rounds: binary-swap %d vs radix-2 %d", bs.Rounds, rk.Rounds)
-	}
-	if bs.Messages != rk.Messages {
-		t.Errorf("messages: binary-swap %d vs radix-2 %d", bs.Messages, rk.Messages)
-	}
-}
-
-func TestScheduleTrafficScaling(t *testing.T) {
-	// Binary-swap moves asymptotically less data per GPU than direct-send's
-	// naive all-to-all when sub-images are fully dirty.
-	subs := randomSubImages(t, 8, 64, 64, 55)
-	for _, s := range subs {
-		// Make everything dirty so direct-send cannot skip tiles.
-		for i := 0; i < s.TileCount(); i++ {
-			s.MarkDirty(i)
-		}
-	}
-	_, ds := DirectSend(subs, colorspace.CmpLess)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
-	if bs.Bytes >= ds.Bytes {
-		t.Errorf("binary-swap bytes (%d) should be below direct-send (%d)", bs.Bytes, ds.Bytes)
-	}
-}
-
-func TestTrafficAdd(t *testing.T) {
-	a := Traffic{Messages: 1, Bytes: 10, Rounds: 1}
-	a.Add(Traffic{Messages: 2, Bytes: 20, Rounds: 3})
-	if a.Messages != 3 || a.Bytes != 30 || a.Rounds != 4 {
-		t.Errorf("Add = %+v", a)
 	}
 }
 
@@ -288,39 +289,89 @@ func TestMixedRadixMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 6, 8, 10, 12} {
 		subs := randomSubImages(t, n, 64, 64, int64(40+n))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, tr, _ := MixedRadix(subs, colorspace.CmpLess)
+		p, got, px := applyFor(t, plan.AlgMixedRadix, 0, subs)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d: mixed-radix differs in %d pixels", n, got.DiffCount(ref, 0))
 		}
-		if tr.Rounds < 2 || tr.Messages == 0 {
-			t.Errorf("n=%d: traffic = %+v", n, tr)
+		if len(p.Rounds) == 0 || px == 0 {
+			t.Errorf("n=%d: %d rounds, %d merged pixels", n, len(p.Rounds), px)
 		}
 	}
 }
 
 func TestMixedRadixEqualsBinarySwapForPowersOfTwo(t *testing.T) {
 	subs := randomSubImages(t, 8, 64, 64, 99)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
-	_, mr, _ := MixedRadix(subs, colorspace.CmpLess)
-	if bs.Rounds != mr.Rounds || bs.Messages != mr.Messages {
-		t.Errorf("mixed-radix(8) should equal binary-swap: %+v vs %+v", mr, bs)
+	bs, bsImg, bsPx := applyFor(t, plan.AlgBinarySwap, 0, subs)
+	mr, mrImg, mrPx := applyFor(t, plan.AlgMixedRadix, 0, subs)
+	if len(bs.Rounds) != len(mr.Rounds) || bs.Sessions() != mr.Sessions() || bsPx != mrPx {
+		t.Errorf("mixed-radix(8) should equal binary-swap: %d rounds/%d sessions/%d px vs %d/%d/%d",
+			len(mr.Rounds), mr.Sessions(), mrPx, len(bs.Rounds), bs.Sessions(), bsPx)
+	}
+	if !mrImg.Equal(bsImg, 0) {
+		t.Error("mixed-radix(8) and binary-swap images differ")
 	}
 }
 
-func TestFactorize(t *testing.T) {
-	cases := map[int][]int{
-		2: {2}, 6: {2, 3}, 8: {2, 2, 2}, 12: {2, 2, 3}, 7: {7}, 1: nil,
+// TestScheduleErrorContract pins Apply's error contract: a nil or malformed
+// plan and sub-images that do not fit the plan are reported through the
+// error return (never a panic, never a silent wrong image), while dead
+// GPUs' sub-images are ignored. Prime counts, which only direct-send,
+// mixed-radix and radix-k with k=n support, compose exactly.
+func TestScheduleErrorContract(t *testing.T) {
+	subs := randomSubImages(t, 6, 32, 32, 42)
+	mr, err := plan.For(plan.AlgMixedRadix, 6, 32, 0, plan.AssocCommutative, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for n, want := range cases {
-		got := factorize(n)
-		if len(got) != len(want) {
-			t.Errorf("factorize(%d) = %v, want %v", n, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("factorize(%d) = %v, want %v", n, got, want)
-			}
+	if _, _, err := Apply(nil, subs, colorspace.CmpLess); err == nil {
+		t.Error("Apply(nil plan): want error")
+	}
+	if _, _, err := Apply(mr, subs[:5], colorspace.CmpLess); err == nil {
+		t.Error("Apply with 5 sub-images for a 6-GPU plan: want error")
+	}
+	short := append([]*framebuffer.Buffer(nil), subs...)
+	short[3] = framebuffer.MustNew(32, 31)
+	if _, _, err := Apply(mr, short, colorspace.CmpLess); err == nil {
+		t.Error("Apply with a sub-image of the wrong height: want error")
+	}
+	narrow := append([]*framebuffer.Buffer(nil), subs...)
+	narrow[5] = framebuffer.MustNew(31, 32)
+	if _, _, err := Apply(mr, narrow, colorspace.CmpLess); err == nil {
+		t.Error("Apply with a sub-image of the wrong width: want error")
+	}
+	missing := append([]*framebuffer.Buffer(nil), subs...)
+	missing[0] = nil
+	if _, _, err := Apply(mr, missing, colorspace.CmpLess); err == nil {
+		t.Error("Apply with a nil live sub-image: want error")
+	}
+	bad := &plan.Plan{Alg: plan.AlgBinarySwap, N: 2, Height: 32,
+		Rounds: []plan.Round{{{Sender: 0, Receiver: 1, Region: plan.Region{Lo: 0, Hi: 16}}}},
+		Final:  []plan.Region{{Lo: 0, Hi: 16}, {Lo: 16, Hi: 32}},
+	}
+	if _, _, err := Apply(bad, subs[:2], colorspace.CmpLess); err == nil {
+		t.Error("Apply of a plan that fails plan.Check: want error")
+	}
+	live := []bool{true, true, true, false, true, true}
+	rp, err := plan.Repair(mr, live, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := append([]*framebuffer.Buffer(nil), subs...)
+	dead[3] = nil
+	survivors := []*framebuffer.Buffer{subs[0], subs[1], subs[2], subs[4], subs[5]}
+	if got, _, err := Apply(rp, dead, colorspace.CmpLess); err != nil {
+		t.Errorf("Apply of a repaired plan with a nil dead sub-image: %v", err)
+	} else if !got.Equal(DepthReference(survivors, colorspace.CmpLess), 0) {
+		t.Error("repaired plan differs from the survivors' reference")
+	}
+
+	prime := randomSubImages(t, 7, 32, 32, 43)
+	ref := DepthReference(prime, colorspace.CmpLess)
+	for _, p := range schedulePlans(t, 7, 32, 7) {
+		if got, _, err := Apply(p, prime, colorspace.CmpLess); err != nil {
+			t.Errorf("%s(n=7): %v", planName(p), err)
+		} else if !got.Equal(ref, 0) {
+			t.Errorf("%s(n=7) differs from reference", planName(p))
 		}
 	}
 }

@@ -521,19 +521,21 @@ func Check(p *Plan) error {
 		}
 	}
 	if p.OwnerRegions {
-		seen := make(map[[2]int]bool, p.N*p.N)
+		seen := make([]bool, p.N*p.N) // indexed sender·N + receiver
+		pairs := 0
 		for _, round := range p.Rounds {
 			for _, s := range round {
-				k := [2]int{s.Sender, s.Receiver}
+				k := s.Sender*p.N + s.Receiver
 				if seen[k] {
 					return fmt.Errorf("plan: duplicate direct-send session %d→%d", s.Sender, s.Receiver)
 				}
 				seen[k] = true
+				pairs++
 			}
 		}
 		want := numLive * (numLive - 1)
-		if len(seen) != want {
-			return fmt.Errorf("plan: direct-send has %d sessions, want %d", len(seen), want)
+		if pairs != want {
+			return fmt.Errorf("plan: direct-send has %d sessions, want %d", pairs, want)
 		}
 		return nil
 	}
@@ -550,8 +552,9 @@ func Check(p *Plan) error {
 		}
 	}
 	for ri, round := range p.Rounds {
-		sent := make([]map[int]bool, p.N)
-		recv := make([]map[int]bool, p.N)
+		// sent and recv mark (GPU, row) pairs, indexed g·Height + y.
+		sent := make([]bool, p.N*p.Height)
+		recv := make([]bool, p.N*p.Height)
 		// Receivers accumulate the senders' pre-round state: within a
 		// round, rows a GPU sends are disjoint from rows it receives, so
 		// ordering inside the round cannot matter.
@@ -561,22 +564,14 @@ func Check(p *Plan) error {
 		}
 		for _, s := range round {
 			for y := s.Region.Lo; y < s.Region.Hi; y++ {
-				if sent[s.Sender] == nil {
-					sent[s.Sender] = map[int]bool{}
-				}
-				if recv[s.Receiver] == nil {
-					recv[s.Receiver] = map[int]bool{}
-				}
-				sent[s.Sender][y] = true
-				recv[s.Receiver][y] = true
+				sent[s.Sender*p.Height+y] = true
+				recv[s.Receiver*p.Height+y] = true
 				next[s.Receiver][y] |= contrib[s.Sender][y]
 			}
 		}
-		for g := 0; g < p.N; g++ {
-			for y := range sent[g] {
-				if recv[g][y] {
-					return fmt.Errorf("plan: round %d: GPU %d both sends and receives row %d", ri, g, y)
-				}
+		for i, snd := range sent {
+			if snd && recv[i] {
+				return fmt.Errorf("plan: round %d: GPU %d both sends and receives row %d", ri, i/p.Height, i%p.Height)
 			}
 		}
 		contrib = next

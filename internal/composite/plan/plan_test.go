@@ -208,6 +208,42 @@ func TestFor(t *testing.T) {
 	if err != nil || p.Alg != AlgMixedRadix {
 		t.Fatalf("For(auto, 33) = (%+v, %v), want mixed-radix", p, err)
 	}
+	if _, err := For(AlgBinarySwap, 6, 64, 0, AssocCommutative, 1); err == nil {
+		t.Error("For(binary-swap, 6): want power-of-two error")
+	}
+	if _, err := For(AlgRadixK, 6, 64, 4, AssocCommutative, 1); err == nil {
+		t.Error("For(radix-k, 6, k=4): want non-power error")
+	}
+	if _, err := For(AlgRadixK, 8, 64, 1, AssocCommutative, 1); err == nil {
+		t.Error("For(radix-k, k=1): want radix error")
+	}
+	if _, err := For(AlgMixedRadix, 6, 64, 0, AssocCommutative, 1); err != nil {
+		t.Errorf("For(mixed-radix, 6): unexpected error %v", err)
+	}
+	// Prime counts: radix-k with k=n degenerates to one direct-send-style
+	// round, like mixed-radix.
+	p, err = For(AlgRadixK, 7, 64, 7, AssocCommutative, 1)
+	if err != nil || len(p.Rounds) != 1 || Check(p) != nil {
+		t.Errorf("For(radix-k, 7, k=7) = (%+v, %v), want one checked round", p, err)
+	}
+}
+
+func TestFactorize(t *testing.T) {
+	cases := map[int][]int{
+		2: {2}, 6: {2, 3}, 8: {2, 2, 2}, 12: {2, 2, 3}, 7: {7}, 1: nil,
+	}
+	for n, want := range cases {
+		got := factorize(n)
+		if len(got) != len(want) {
+			t.Errorf("factorize(%d) = %v, want %v", n, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("factorize(%d) = %v, want %v", n, got, want)
+			}
+		}
+	}
 }
 
 // TestParseAlgorithm covers the flag round trip.

@@ -45,23 +45,9 @@ func TestPropertyParallelSchedulesMatchReference(t *testing.T) {
 		subs := randomSubImages(t, n, w, h, int64(1000+trial))
 		ref := DepthReference(subs, cmp)
 
-		if got, _ := DirectSend(subs, cmp); !got.Equal(ref, 0) {
-			t.Fatalf("trial %d (n=%d %dx%d): DirectSend differs from reference", trial, n, w, h)
-		}
-		if got, _, err := MixedRadix(subs, cmp); err != nil || !got.Equal(ref, 0) {
-			t.Fatalf("trial %d (n=%d %dx%d): MixedRadix differs from reference", trial, n, w, h)
-		}
-		if n&(n-1) == 0 {
-			if got, _, err := BinarySwap(subs, cmp); err != nil || !got.Equal(ref, 0) {
-				t.Fatalf("trial %d (n=%d %dx%d): BinarySwap differs from reference", trial, n, w, h)
-			}
-		}
-		for _, k := range []int{2, 3, n} {
-			if !isPowerOf(n, k) {
-				continue
-			}
-			if got, _, err := RadixK(subs, cmp, k); err != nil || !got.Equal(ref, 0) {
-				t.Fatalf("trial %d (n=%d %dx%d): RadixK(%d) differs from reference", trial, n, w, h, k)
+		for _, p := range schedulePlans(t, n, h, 2, 3, n) {
+			if got, _, err := Apply(p, subs, cmp); err != nil || !got.Equal(ref, 0) {
+				t.Fatalf("trial %d (n=%d %dx%d): %s differs from reference (err %v)", trial, n, w, h, planName(p), err)
 			}
 		}
 	}

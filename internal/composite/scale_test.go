@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
+	"chopin/internal/framebuffer"
 )
 
 // TestEveryCountMatchesReferenceTo64 is the exhaustive scale sweep: for
-// every GPU count from 2 through 64, every schedule that supports the count
-// must reproduce the sequential depth reference pixel-exactly. This is the
-// library-level guarantee the 64-GPU plan executor rests on.
+// every GPU count from 2 through 64, every plan.For schedule that supports
+// the count must reproduce the sequential depth reference pixel-exactly
+// under Apply. This is the library-level guarantee the 64-GPU plan
+// executor rests on.
 func TestEveryCountMatchesReferenceTo64(t *testing.T) {
 	const w, h = 48, 37 // off tile boundaries on purpose
 	for n := 2; n <= 64; n++ {
@@ -19,67 +22,57 @@ func TestEveryCountMatchesReferenceTo64(t *testing.T) {
 		}
 		subs := randomSubImages(t, n, w, h, int64(9000+n))
 		ref := DepthReference(subs, cmp)
-
-		if got, _ := DirectSend(subs, cmp); !got.Equal(ref, 0) {
-			t.Errorf("n=%d: DirectSend differs from reference", n)
-		}
-		if got, _, err := MixedRadix(subs, cmp); err != nil {
-			t.Errorf("n=%d: MixedRadix: %v", n, err)
-		} else if !got.Equal(ref, 0) {
-			t.Errorf("n=%d: MixedRadix differs from reference", n)
-		}
-		if n&(n-1) == 0 {
-			if got, _, err := BinarySwap(subs, cmp); err != nil {
-				t.Errorf("n=%d: BinarySwap: %v", n, err)
+		for _, p := range schedulePlans(t, n, h, 2, 3, 4, 8) {
+			if got, _, err := Apply(p, subs, cmp); err != nil {
+				t.Errorf("n=%d: %s: %v", n, planName(p), err)
 			} else if !got.Equal(ref, 0) {
-				t.Errorf("n=%d: BinarySwap differs from reference", n)
-			}
-		}
-		for _, k := range []int{2, 3, 4, 8} {
-			if !isPowerOf(n, k) {
-				continue
-			}
-			if got, _, err := RadixK(subs, cmp, k); err != nil {
-				t.Errorf("n=%d: RadixK(%d): %v", n, k, err)
-			} else if !got.Equal(ref, 0) {
-				t.Errorf("n=%d: RadixK(%d) differs from reference", n, k)
+				t.Errorf("n=%d: %s differs from reference", n, planName(p))
 			}
 		}
 	}
 }
 
-// TestScheduleErrorContract pins the unified error contract: BinarySwap,
-// RadixK, and MixedRadix all report unsupported inputs through their error
-// return (never a panic, never a silent wrong image), and MixedRadix —
-// which supports every count — never errors.
-func TestScheduleErrorContract(t *testing.T) {
-	subs := randomSubImages(t, 6, 32, 32, 42)
-
-	if _, _, err := BinarySwap(subs, colorspace.CmpLess); err == nil {
-		t.Error("BinarySwap with 6 sub-images: want error")
+// TestApplyRepairedPlansMatchReference extends pixel-exactness to plan
+// repair: for every GPU count 2..64, every plan.For schedule the count
+// supports, every single-GPU failure and every round boundary, the
+// plan.Repair output applied to the sub-images must equal the sequential
+// depth reference over the survivors. The dead GPU's sub-image is left in
+// place, so a repair that still read it would show up as a wrong image.
+func TestApplyRepairedPlansMatchReference(t *testing.T) {
+	const w, h = 3, 70 // two tile rows: direct-send ownership interleaves
+	stride := 1
+	if testing.Short() {
+		stride = 7
 	}
-	if _, _, err := RadixK(subs, colorspace.CmpLess, 1); err == nil {
-		t.Error("RadixK(k=1): want error")
-	}
-	if _, _, err := RadixK(subs, colorspace.CmpLess, 4); err == nil {
-		t.Error("RadixK(n=6, k=4): want error")
-	}
-	if _, _, err := MixedRadix(subs, colorspace.CmpLess); err != nil {
-		t.Errorf("MixedRadix(n=6): unexpected error %v", err)
-	}
-
-	// Prime counts: only direct-send and mixed-radix (single factor = one
-	// direct-send-style round) apply; radix-k with k=n degenerates likewise.
-	prime := randomSubImages(t, 7, 32, 32, 43)
-	ref := DepthReference(prime, colorspace.CmpLess)
-	if got, _, err := RadixK(prime, colorspace.CmpLess, 7); err != nil {
-		t.Errorf("RadixK(n=7, k=7): %v", err)
-	} else if !got.Equal(ref, 0) {
-		t.Error("RadixK(n=7, k=7) differs from reference")
-	}
-	if got, _, err := MixedRadix(prime, colorspace.CmpLess); err != nil {
-		t.Errorf("MixedRadix(n=7): %v", err)
-	} else if !got.Equal(ref, 0) {
-		t.Error("MixedRadix(n=7) differs from reference")
+	for n := 2; n <= 64; n += stride {
+		subs := randomSubImages(t, n, w, h, int64(7000+n))
+		plans := schedulePlans(t, n, h, plan.DefaultK(n))
+		for failed := 0; failed < n; failed++ {
+			live := make([]bool, n)
+			survivors := make([]*framebuffer.Buffer, 0, n-1)
+			for g := range live {
+				live[g] = g != failed
+				if live[g] {
+					survivors = append(survivors, subs[g])
+				}
+			}
+			ref := DepthReference(survivors, colorspace.CmpLess)
+			for _, src := range plans {
+				for boundary := 0; boundary <= len(src.Rounds); boundary++ {
+					rp, err := plan.Repair(src, live, boundary)
+					if err != nil {
+						t.Fatalf("n=%d/%s/fail=%d/round=%d: repair: %v", n, planName(src), failed, boundary, err)
+					}
+					got, _, err := Apply(rp, subs, colorspace.CmpLess)
+					if err != nil {
+						t.Fatalf("n=%d/%s/fail=%d/round=%d: apply: %v", n, planName(src), failed, boundary, err)
+					}
+					if !got.Equal(ref, 0) {
+						t.Fatalf("n=%d/%s/fail=%d/round=%d: repaired plan differs from the survivors' reference in %d pixels",
+							n, planName(src), failed, boundary, got.DiffCount(ref, 0))
+					}
+				}
+			}
+		}
 	}
 }

@@ -232,12 +232,11 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 // other (shared mutable state, map-iteration order leaking into event
 // order, ...).
 //
-// Axis 2 — the event engine: the engine matrix (five scheme rows) runs
-// once on the sequential event loop (EngineWorkers=0) and once on the
-// conservative parallel engine (EngineWorkers>1, sharded event queues with
-// lookahead barriers). A difference means the parallel engine reordered
-// observably-coupled events — exactly the bug class its barrier merge is
-// designed to exclude.
+// Axis 2 — intra-simulation fan-out: the engine matrix (five scheme rows)
+// runs once with inline rasterization (EngineWorkers=0) and once with the
+// per-GPU rasterization of each draw batch fanned across goroutines
+// (EngineWorkers>1, Engine.Fanout). A difference means fanned-out work
+// leaked shared state or its completion order into the simulation.
 //
 // Axis 3 — the scale-out configuration space: the topology × exchange-plan
 // matrix (routed fabrics, multi-round plans) runs sequentially and with full

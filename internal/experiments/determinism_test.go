@@ -3,13 +3,13 @@ package experiments
 import "testing"
 
 // TestDeterminismAcrossWorkers runs the self-check along both axes —
-// concurrent simulations (Workers) and the conservative parallel event
-// engine (EngineWorkers) — and requires identical cycle counts and image
+// concurrent simulations (Workers) and intra-simulation rasterization
+// fan-out (EngineWorkers) — and requires identical cycle counts and image
 // checksums. A failure on the first axis means concurrent simulations
-// influence each other; on the second, that the parallel engine's barrier
-// merge reordered observably-coupled events. Either would invalidate every
-// experiment table. Three benchmarks give the engine axis geometry with
-// different draw counts, resolutions, and depth complexity.
+// influence each other; on the second, that fanned-out rasterization leaked
+// shared state or completion order into the simulation. Either would
+// invalidate every experiment table. Three benchmarks give the fan-out axis
+// geometry with different draw counts, resolutions, and depth complexity.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	opt := tinyOptions()
 	opt.Benchmarks = []string{"cod2", "wolf", "cry"}

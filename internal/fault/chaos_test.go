@@ -60,9 +60,10 @@ func chaosConfig(plan *fault.Plan) multigpu.Config {
 	cfg.NumGPUs = chaosGPUs
 	cfg.GroupThreshold = 256
 	cfg.Faults = plan
-	// CHOPIN_ENGINE_WORKERS reruns the whole chaos sweep on the conservative
-	// parallel event engine: every golden-image and typed-error contract must
-	// hold unchanged. CI sets it to 4 alongside the sequential run.
+	// CHOPIN_ENGINE_WORKERS reruns the whole chaos sweep with per-GPU
+	// rasterization fanned across goroutines (Engine.Fanout): every
+	// golden-image and typed-error contract must hold unchanged. CI sets it
+	// to 4 alongside the inline run.
 	if s := os.Getenv("CHOPIN_ENGINE_WORKERS"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil {

@@ -55,25 +55,6 @@ func TestTracerDisabledAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedEngineAllocs extends the 0-allocs/op contract to a fabric on a
-// shard-configured engine with workers unset (the default when
-// EngineWorkers is not requested): the shard-tagged scheduling paths must
-// cost nothing on the sequential dispatcher.
-func TestShardedEngineAllocs(t *testing.T) {
-	const n, transfers = 4, 64
-	eng := sim.New()
-	eng.ConfigureShards(n+1, DefaultConfig().LatencyCycles)
-	f := newFabric(t, eng, n, DefaultConfig())
-	f.SetShard(sim.ShardID(n + 1))
-	benchSend(eng, f, n, transfers)
-	allocs := testing.AllocsPerRun(100, func() {
-		benchSend(eng, f, n, transfers)
-	})
-	if allocs != 0 {
-		t.Fatalf("shard-tagged Send path allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // benchTopology builds a fabric with the given topology kind and measures
 // the neighbour-send steady state — the Send/tryStart hot path with and
 // without the routed-path claim loop.

@@ -98,16 +98,13 @@ type Config struct {
 	// internal/experiments and chopinsim -timeout).
 	Cancel func() bool
 
-	// EngineWorkers enables the engine's conservative parallel mode
-	// (DESIGN.md §9): the event population is sharded per GPU plus one
-	// shard for the fabric, the link latency becomes the lookahead window,
-	// and up to EngineWorkers goroutines execute shard-affine windows and
-	// fan out per-GPU functional rasterization (System.SubmitDraws).
-	// Results are byte-identical to the sequential engine at any worker
-	// count. Values < 2 (the default) keep the engine fully sequential
-	// with its 0-allocs/op hot paths. Like Tracer and Cancel, this is an
-	// execution attachment, not architecture: it is excluded from
-	// Fingerprint.
+	// EngineWorkers bounds the goroutines Engine.Fanout uses to run the
+	// per-GPU functional rasterization of a draw batch in parallel
+	// (System.SubmitDraws, DESIGN.md §9). Events are still dispatched on
+	// one goroutine, so results are byte-identical at any worker count.
+	// Values < 2 (the default) rasterize inline. Like Tracer and Cancel,
+	// this is an execution attachment, not architecture: it is excluded
+	// from Fingerprint.
 	EngineWorkers int
 
 	// CompAlg selects the exchange plan opaque composition groups execute
@@ -282,22 +279,10 @@ func New(cfg Config, width, height int) (*System, error) {
 		cfg.Link.Retry = interconnect.RetryConfig{}
 	}
 	eng := sim.New()
-	if cfg.EngineWorkers > 1 {
-		// Conservative parallel mode: one shard per GPU plus one for the
-		// fabric, with the link latency as the lookahead window. With an
-		// ideal (zero-latency) fabric there is no positive lookahead to
-		// exploit, so only the worker pool (SubmitDraws fan-out) is enabled.
-		eng.SetWorkers(cfg.EngineWorkers)
-		if look := cfg.Link.LatencyCycles; look > 0 && !cfg.Link.Ideal {
-			eng.ConfigureShards(cfg.NumGPUs+1, look)
-		}
-	}
+	eng.SetWorkers(cfg.EngineWorkers)
 	fabric, err := interconnect.New(eng, cfg.NumGPUs, cfg.Link)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.EngineWorkers > 1 && eng.Shards() > 0 {
-		fabric.SetShard(sim.ShardID(cfg.NumGPUs + 1))
 	}
 	if cfg.FabricTelemetry {
 		fabric.EnableLinkTelemetry()
@@ -348,9 +333,6 @@ func New(cfg Config, width, height int) (*System, error) {
 			return nil, err
 		}
 		g.SetTracer(cfg.Tracer)
-		if eng.Shards() > 0 {
-			g.SetShard(sim.ShardID(i + 1))
-		}
 		s.GPUs = append(s.GPUs, g)
 	}
 	s.tileCount = s.GPUs[0].Target(0).TileCount()

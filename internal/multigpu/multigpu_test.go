@@ -205,9 +205,8 @@ func TestSubmitDrawsEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersWiring pins the shard layout New builds: GPU i on shard
-// 1+i, the fabric on shard NumGPUs+1, lookahead = link latency; and that
-// an ideal link disables sharding but keeps the worker pool.
+// TestEngineWorkersWiring pins that New hands EngineWorkers to the engine's
+// Fanout pool, with an ideal link as with a real one.
 func TestEngineWorkersWiring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumGPUs = 4
@@ -216,26 +215,9 @@ func TestEngineWorkersWiring(t *testing.T) {
 	if got := sys.Eng.Workers(); got != 3 {
 		t.Errorf("workers = %d, want 3", got)
 	}
-	if got := sys.Eng.Shards(); got != 5 {
-		t.Errorf("shards = %d, want 5 (4 GPUs + fabric)", got)
-	}
-	if got := sys.Eng.Lookahead(); got != cfg.Link.LatencyCycles {
-		t.Errorf("lookahead = %d, want %d", got, cfg.Link.LatencyCycles)
-	}
-	for i, g := range sys.GPUs {
-		if got := g.Shard(); got != sim.ShardID(i+1) {
-			t.Errorf("gpu %d shard = %d, want %d", i, got, i+1)
-		}
-	}
-	if got := sys.Fabric.Shard(); got != 5 {
-		t.Errorf("fabric shard = %d, want 5", got)
-	}
 
 	cfg.Link.Ideal = true
 	sys = newSys(t, cfg, 64, 64)
-	if got := sys.Eng.Shards(); got != 0 {
-		t.Errorf("ideal link: shards = %d, want 0", got)
-	}
 	if got := sys.Eng.Workers(); got != 3 {
 		t.Errorf("ideal link: workers = %d, want 3", got)
 	}

@@ -116,33 +116,6 @@ func TestTracerDisabledAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelEngine measures the conservative windowed dispatcher on
-// the shard-affine chain model (shard_test.go): 6 node shards plus a hub,
-// fanned across 4 workers. BenchmarkParallelEngineSequential is the same
-// model on one worker, so the pair exposes the window dispatch overhead
-// and speedup in the exported bench JSON.
-func BenchmarkParallelEngine(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, _ := runChainModel(uint64(i+1), 6, 4, 200)
-		if d.final == 0 {
-			b.Fatal("model did not advance")
-		}
-	}
-}
-
-// BenchmarkParallelEngineSequential is the one-worker baseline for
-// BenchmarkParallelEngine.
-func BenchmarkParallelEngineSequential(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, _ := runChainModel(uint64(i+1), 6, 1, 200)
-		if d.final == 0 {
-			b.Fatal("model did not advance")
-		}
-	}
-}
-
 // BenchmarkSelfReschedule measures the ping-pong pattern of pipelined
 // hardware models: each firing schedules the next event, so the queue stays
 // tiny and every iteration exercises one push and one pop.

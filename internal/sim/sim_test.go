@@ -282,3 +282,39 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFanout covers the inline and worker paths of Engine.Fanout, including
+// panic propagation back to the caller's goroutine on both.
+func TestFanout(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		e := New()
+		e.SetWorkers(workers)
+		if got, want := e.Workers(), max(workers, 1); got != want {
+			t.Fatalf("SetWorkers(%d): Workers() = %d, want %d", workers, got, want)
+		}
+		const n = 64
+		out := make([]int, n)
+		e.Fanout(n, func(i int) { out[i] = i * i })
+		for i := range out {
+			if out[i] != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i*i)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		e := New()
+		e.SetWorkers(workers)
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want the worker's panic value", workers, r)
+				}
+			}()
+			e.Fanout(8, func(i int) {
+				if i == 5 {
+					panic("boom")
+				}
+			})
+		}()
+	}
+}

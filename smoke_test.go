@@ -33,7 +33,6 @@ var smokePrograms = []struct {
 	{pkg: "./cmd/chopinreport", args: []string{"-o", "report.html",
 		"{repo}/internal/runrec/testdata/golden_fig19.json"}},
 	{pkg: "./cmd/tracegen", args: []string{"-bench", "cod2", "-scale", "0.02", "-info"}},
-	{pkg: "./cmd/benchjson", args: nil}, // empty stdin → empty JSON report
 
 	{pkg: "./examples/quickstart", env: []string{"CHOPIN_EXAMPLE_SCALE=0.02"}},
 	{pkg: "./examples/customscheduler", env: []string{"CHOPIN_EXAMPLE_SCALE=0.02"}},
