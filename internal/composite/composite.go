@@ -213,30 +213,41 @@ func Apply(p *plan.Plan, subs []*framebuffer.Buffer, cmp colorspace.CompareFunc)
 // regions are row ranges that need not align with tile boundaries, and
 // clipping to dirty tiles keeps a buffer's cleared pixels (depth exactly
 // ClearDepth) from overwriting real far-plane content under CmpLessEqual
-// ties. Returns the merged pixel count.
+// ties. Returns the merged pixel count. It does not allocate: with tiles nil
+// it walks src's dirty flags in place, in ascending tile order.
 func DepthMergeRegion(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, y0, y1 int, tiles []int) (pixels int) {
 	if tiles == nil {
-		tiles = src.DirtyTiles()
+		for tl := 0; tl < src.TileCount(); tl++ {
+			pixels += depthMergeTile(dst, src, cmp, y0, y1, tl)
+		}
+		return pixels
 	}
 	for _, tl := range tiles {
-		if !src.Dirty(tl) {
-			continue
-		}
-		x0, ty0, x1, ty1 := dst.TileRect(tl)
-		cy0, cy1 := max(ty0, y0), min(ty1, y1)
-		for y := cy0; y < cy1; y++ {
-			for x := x0; x < x1; x++ {
-				if colorspace.Compare(cmp, src.DepthAt(x, y), dst.DepthAt(x, y)) {
-					dst.Set(x, y, src.At(x, y))
-					dst.SetDepth(x, y, src.DepthAt(x, y))
-				}
-			}
-		}
-		if cy1 > cy0 {
-			pixels += (cy1 - cy0) * (x1 - x0)
-		}
+		pixels += depthMergeTile(dst, src, cmp, y0, y1, tl)
 	}
 	return pixels
+}
+
+// depthMergeTile is DepthMergeRegion for one tile: a clean tile of src
+// merges nothing.
+func depthMergeTile(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, y0, y1, tl int) int {
+	if !src.Dirty(tl) {
+		return 0
+	}
+	x0, ty0, x1, ty1 := dst.TileRect(tl)
+	cy0, cy1 := max(ty0, y0), min(ty1, y1)
+	for y := cy0; y < cy1; y++ {
+		for x := x0; x < x1; x++ {
+			if colorspace.Compare(cmp, src.DepthAt(x, y), dst.DepthAt(x, y)) {
+				dst.Set(x, y, src.At(x, y))
+				dst.SetDepth(x, y, src.DepthAt(x, y))
+			}
+		}
+	}
+	if cy1 <= cy0 {
+		return 0
+	}
+	return (cy1 - cy0) * (x1 - x0)
 }
 
 // copyRegion copies colour and depth over rows [y0, y1) of the given tiles

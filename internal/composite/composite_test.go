@@ -109,6 +109,21 @@ func TestDepthMergeRestrictedTiles(t *testing.T) {
 	}
 }
 
+// TestDepthMergeRegionAllocs pins that the plan executor's per-session merge
+// walks src's dirty flags in place: 0 allocs/op with tiles nil.
+func TestDepthMergeRegionAllocs(t *testing.T) {
+	subs := randomSubImages(t, 2, 202, 151, 3)
+	dst, src := subs[0], subs[1]
+	var px int
+	merge := func() { px = DepthMergeRegion(dst, src, colorspace.CmpLess, 40, 130, nil) }
+	if allocs := testing.AllocsPerRun(100, merge); allocs != 0 {
+		t.Fatalf("DepthMergeRegion allocated %.1f allocs/op, want 0", allocs)
+	}
+	if want := DepthMergeRegion(dst, src, colorspace.CmpLess, 40, 130, src.DirtyTiles()); px != want || px == 0 {
+		t.Errorf("merged %d pixels with tiles nil, %d with src's dirty tiles", px, want)
+	}
+}
+
 // TestDepthMergeOutOfOrder is the opaque-composition property CHOPIN relies
 // on (Section III-B): sub-images may be composed in ANY order.
 func TestDepthMergeOutOfOrder(t *testing.T) {

@@ -69,12 +69,16 @@ func New(width, height int) (*Buffer, error) {
 		tilesY: (height + TileSize - 1) / TileSize,
 	}
 	n := width * height
+	// make already yields the cleared state for every plane but depth:
+	// Transparent is the zero RGBA, the stencil clears to zero and no tile
+	// starts dirty.
 	b.color = make([]colorspace.RGBA, n)
 	b.depth = make([]float64, n)
 	b.stencil = make([]uint8, n)
 	b.dirty = make([]bool, b.tilesX*b.tilesY)
-	b.Clear(colorspace.Transparent, ClearDepth)
-	b.ClearDirty()
+	for i := range b.depth {
+		b.depth[i] = ClearDepth
+	}
 	return b, nil
 }
 
@@ -217,6 +221,15 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 		return fmt.Errorf("framebuffer: CopyTileFrom dimension mismatch: %d×%d vs %d×%d",
 			src.width, src.height, b.width, b.height)
 	}
+	b.copyTile(src, t)
+	if src.dirty[t] {
+		b.dirty[t] = true
+	}
+	return nil
+}
+
+// copyTile copies tile t's pixels from src, which has b's dimensions.
+func (b *Buffer) copyTile(src *Buffer, t int) {
 	x0, y0, x1, y1 := b.TileRect(t)
 	for y := y0; y < y1; y++ {
 		i0 := b.index(x0, y)
@@ -225,8 +238,29 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 		copy(b.depth[i0:i1], src.depth[i0:i1])
 		copy(b.stencil[i0:i1], src.stencil[i0:i1])
 	}
-	if src.dirty[t] {
-		b.dirty[t] = true
+}
+
+// CopyDirtyFrom makes b hold exactly src's dirty tiles, as a fresh buffer
+// given CopyTileFrom(src, t) for every dirty t would: it copies src's dirty
+// tiles, clears the tiles dirty in b but clean in src, and leaves the rest
+// alone. That equivalence requires b's clean tiles to hold cleared pixels,
+// which holds for a buffer written only through Set (with SetDepth or
+// SetStencil only on pixels it has Set), dirty-tile copies and CopyDirtyFrom
+// itself. src must have identical dimensions. It lets a work buffer be
+// refilled in place instead of reallocated.
+func (b *Buffer) CopyDirtyFrom(src *Buffer) error {
+	if src.width != b.width || src.height != b.height {
+		return fmt.Errorf("framebuffer: CopyDirtyFrom dimension mismatch: %d×%d vs %d×%d",
+			src.width, src.height, b.width, b.height)
+	}
+	for t, d := range src.dirty {
+		switch {
+		case d:
+			b.copyTile(src, t)
+			b.dirty[t] = true
+		case b.dirty[t]:
+			b.ClearTile(t)
+		}
 	}
 	return nil
 }
@@ -237,12 +271,12 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 func (b *Buffer) ClearTile(t int) {
 	x0, y0, x1, y1 := b.TileRect(t)
 	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			i := b.index(x, y)
-			b.color[i] = colorspace.Transparent
+		i0, i1 := b.index(x0, y), b.index(x1, y)
+		clear(b.color[i0:i1]) // Transparent is the zero RGBA
+		for i := i0; i < i1; i++ {
 			b.depth[i] = ClearDepth
-			b.stencil[i] = 0
 		}
+		clear(b.stencil[i0:i1])
 	}
 	b.dirty[t] = false
 }

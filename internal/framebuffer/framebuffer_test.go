@@ -1,6 +1,8 @@
 package framebuffer
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +134,100 @@ func TestCopyTileFromMismatchErrors(t *testing.T) {
 	}
 }
 
+// TestNewMatchesClear pins that New, which fills only the depth plane,
+// builds the same planes as clearing a scribbled buffer.
+func TestNewMatchesClear(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {64, 64}, {202, 151}} {
+		got := MustNew(dims[0], dims[1])
+		want := MustNew(dims[0], dims[1])
+		want.Clear(colorspace.RGBA{R: 0.5, G: 0.25, B: 1, A: 0.75}, 0.3)
+		for i := range want.stencil {
+			want.stencil[i] = 7
+		}
+		want.Clear(colorspace.Transparent, ClearDepth)
+		want.ClearDirty()
+		if !slices.Equal(got.color, want.color) || !slices.Equal(got.depth, want.depth) ||
+			!slices.Equal(got.stencil, want.stencil) || !slices.Equal(got.dirty, want.dirty) {
+			t.Errorf("%d×%d: New differs from Clear(Transparent, ClearDepth) + ClearDirty", dims[0], dims[1])
+		}
+	}
+}
+
+// randomPixel writes a random colour, depth and stencil at a random pixel
+// through Set, so its tile is marked dirty.
+func randomPixel(b *Buffer, rng *rand.Rand) {
+	x, y := rng.Intn(b.Width()), rng.Intn(b.Height())
+	b.Set(x, y, colorspace.RGBA{R: rng.Float64(), G: rng.Float64(), B: rng.Float64(), A: rng.Float64()})
+	b.SetDepth(x, y, rng.Float64())
+	b.SetStencil(x, y, uint8(rng.Intn(256)))
+}
+
+// randomSource returns a buffer whose clean tiles hold stale, uncleared
+// content (like a render target after ClearDirty) and whose dirty tiles are
+// a random subset.
+func randomSource(w, h int, rng *rand.Rand) *Buffer {
+	b := MustNew(w, h)
+	b.Clear(colorspace.Opaque(rng.Float64(), rng.Float64(), rng.Float64()), rng.Float64())
+	for i := 0; i < 50; i++ {
+		randomPixel(b, rng)
+	}
+	b.ClearDirty()
+	for i, n := 0, rng.Intn(3*b.TileCount()); i < n; i++ {
+		randomPixel(b, rng)
+	}
+	return b
+}
+
+// TestCopyDirtyFromMatchesFreshCopy checks CopyDirtyFrom against its
+// definition: a fresh buffer given CopyTileFrom for every dirty source tile.
+// 202×151 has partial tiles on the right and bottom edges. Destinations
+// carry random prior content written only through Set, dirty-tile copies and
+// earlier CopyDirtyFrom calls.
+func TestCopyDirtyFromMatchesFreshCopy(t *testing.T) {
+	const w, h = 202, 151
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 100; iter++ {
+		dst := MustNew(w, h)
+		for i, n := 0, rng.Intn(2*dst.TileCount()); i < n; i++ {
+			randomPixel(dst, rng)
+		}
+		if rng.Intn(2) == 0 {
+			prior := randomSource(w, h, rng)
+			for _, tl := range prior.DirtyTiles() {
+				if rng.Intn(2) == 0 {
+					_ = dst.CopyTileFrom(prior, tl)
+				}
+			}
+		}
+		for refill := 0; refill < 3; refill++ {
+			src := randomSource(w, h, rng)
+			want := MustNew(w, h)
+			for _, tl := range src.DirtyTiles() {
+				_ = want.CopyTileFrom(src, tl)
+			}
+			if err := dst.CopyDirtyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if !dst.Equal(want, 0) {
+				t.Fatalf("iter %d refill %d: %d colour pixels differ from a fresh copy", iter, refill, dst.DiffCount(want, 0))
+			}
+			if !slices.Equal(dst.stencil, want.stencil) {
+				t.Fatalf("iter %d refill %d: stencil differs from a fresh copy", iter, refill)
+			}
+			if !slices.Equal(dst.dirty, want.dirty) {
+				t.Fatalf("iter %d refill %d: dirty flags %v, want %v", iter, refill, dst.DirtyTiles(), want.DirtyTiles())
+			}
+		}
+	}
+}
+
+func TestCopyDirtyFromMismatchErrors(t *testing.T) {
+	dst := MustNew(64, 64)
+	if err := dst.CopyDirtyFrom(MustNew(128, 64)); err == nil {
+		t.Error("expected error on dimension mismatch")
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	b := MustNew(64, 64)
 	b.Set(1, 1, colorspace.Opaque(1, 0, 0))
@@ -211,5 +307,37 @@ func TestOwnedTilesPartition(t *testing.T) {
 func TestOwnerOfZeroGPUs(t *testing.T) {
 	if got := OwnerOf(0, 0); got != -1 {
 		t.Errorf("OwnerOf(0, 0) = %d, want -1", got)
+	}
+}
+
+var benchSink *Buffer
+
+// BenchmarkNew measures building a cleared 1280×1024 buffer, the simulated
+// screen size.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = MustNew(1280, 1024)
+	}
+}
+
+// BenchmarkCopyDirtyFrom measures refilling a work buffer in place from a
+// 1280×1024 target with a quarter of its tiles dirty, alternating between two
+// sources with different dirty sets so each call copies and clears tiles.
+func BenchmarkCopyDirtyFrom(b *testing.B) {
+	var srcs [2]*Buffer
+	for k := range srcs {
+		srcs[k] = MustNew(1280, 1024)
+		for tl := k; tl < srcs[k].TileCount(); tl += 4 {
+			srcs[k].MarkDirty(tl)
+		}
+	}
+	dst := MustNew(1280, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dst.CopyDirtyFrom(srcs[i%2]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -74,6 +74,10 @@ type chopinRun struct {
 	// exchange plan: opaque groups then run the plan executor instead of the
 	// paper's owner-addressed direct send.
 	compPlan *plan.Plan
+	// work holds one plan-executor work buffer per GPU, allocated on the
+	// GPU's first snapshot and refilled in place by every later group's
+	// (see planExec.snapshot). Nil unless compPlan is set.
+	work []*framebuffer.Buffer
 	// curPex is the live plan executor while an opaque group composes via
 	// compPlan, so a fail-stop detected mid-plan excludes the GPU from the
 	// running exchange immediately instead of waiting for the step-boundary
@@ -135,6 +139,7 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 		}
 		if p.Alg != plan.AlgDirectSend {
 			r.compPlan = p
+			r.work = make([]*framebuffer.Buffer, r.n)
 		}
 	}
 	r.steps = core.Plan(fr.Draws, sys.Cfg.GroupThreshold)

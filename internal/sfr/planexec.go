@@ -26,7 +26,11 @@ import (
 // (the dirty tiles of its render target) is snapshotted into a work buffer,
 // because multi-round plans forward partially accumulated region content
 // that must contain only this group's rendering, not the target's prior
-// frame state. Sessions transfer the full payload region (rows × width ×
+// frame state. Work buffers belong to the run (chopinRun.work), one per GPU,
+// and persist across groups: each snapshot refills its GPU's buffer in place
+// rather than allocating a full-screen buffer per GPU per group, which is
+// safe because every read of a work buffer finishes before its group ends
+// (see snapshot). Sessions transfer the full payload region (rows × width ×
 // 8 B, the dense exchange of the classic schedules) and the receiver's ROPs
 // depth-merge the sender's dirty content clipped to the region. A session
 // completes — unblocking the round gating in core.PlanScheduler — only
@@ -118,14 +122,24 @@ func newPlanExec(r *chopinRun, rt int, cmp colorspace.CompareFunc, done func()) 
 }
 
 // snapshot captures GPU g's group contribution (the dirty tiles of its
-// render target) into its work buffer.
+// render target) into its work buffer, allocated on the GPU's first snapshot
+// of the run and refilled in place afterwards.
+//
+// Reuse needs no guard because every read of a work buffer finishes before
+// its group ends, and groups run one at a time: session merges run
+// synchronously inside gpu.SubmitMerge from delivery callbacks that first
+// check the plan generation, and scatter's merges complete before its
+// barrier releases the group. exclude drops px.work[g] for the current plan
+// only; the run keeps the buffer for g's next snapshot.
 func (px *planExec) snapshot(g int) {
 	tgt := px.r.sys.GPUs[g].Target(px.rt)
-	w := framebuffer.MustNew(tgt.Width(), tgt.Height())
-	for _, t := range tgt.DirtyTiles() {
-		// Same dimensions by construction; CopyTileFrom cannot fail.
-		_ = w.CopyTileFrom(tgt, t)
+	w := px.r.work[g]
+	if w == nil {
+		w = framebuffer.MustNew(tgt.Width(), tgt.Height())
+		px.r.work[g] = w
 	}
+	// Same dimensions by construction; CopyDirtyFrom cannot fail.
+	_ = w.CopyDirtyFrom(tgt)
 	px.work[g] = w
 }
 

@@ -1,9 +1,11 @@
 package sfr
 
 import (
+	"runtime"
 	"testing"
 
 	"chopin/internal/composite/plan"
+	"chopin/internal/core"
 	"chopin/internal/interconnect"
 	"chopin/internal/multigpu"
 )
@@ -118,4 +120,45 @@ func TestScaleOutSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlanExecReusesWorkBuffers pins that the plan executor allocates its
+// full-screen work buffers once per GPU per run, not once per GPU per opaque
+// group: a binary-swap frame may allocate less than two buffers per GPU more
+// than the same frame composed by direct send, which needs none.
+func TestPlanExecReusesWorkBuffers(t *testing.T) {
+	const n = 16
+	fr := testFrame(t, "cod2", 0.04)
+	opaque := 0
+	for _, st := range core.Plan(fr.Draws, testConfig(n).GroupThreshold) {
+		if !st.Duplicate && !st.Group.Transparent {
+			opaque++
+		}
+	}
+	if opaque < 4 {
+		t.Fatalf("frame has %d accelerated opaque groups, want ≥4 for reuse to show", opaque)
+	}
+	heapBytes := func(alg plan.Algorithm) uint64 {
+		sys, err := multigpu.New(planConfig(n, alg, interconnect.TopoCrossbar), fr.Width, fr.Height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := (CHOPIN{}).Run(sys, fr); err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	direct := heapBytes(plan.AlgDirectSend)
+	swap := heapBytes(plan.AlgBinarySwap)
+	// One buffer: colour (4×float64), depth (float64) and stencil (uint8)
+	// per pixel.
+	buf := uint64(fr.Width*fr.Height) * (4*8 + 8 + 1)
+	if swap <= direct || swap-direct >= 2*n*buf {
+		t.Fatalf("binary-swap run allocated %d B, direct send %d B: extra %d B, want under %d B (2 × %d GPUs × %d B buffers; %d opaque groups)",
+			swap, direct, int64(swap)-int64(direct), 2*n*buf, n, buf, opaque)
+	}
+	t.Logf("extra heap %d B = %.2f buffers per GPU over %d opaque groups", swap-direct, float64(swap-direct)/float64(n*buf), opaque)
 }
