@@ -32,44 +32,75 @@ func (d Digest) key() string {
 	return k
 }
 
-// determinismMatrix is the scheme × GPU-count grid the self-check runs over
-// every benchmark in the options.
-func determinismMatrix() []struct {
+// cell is one simulation configuration of the self-check, run over every
+// benchmark in the options. topo and alg at their zero values are the
+// default crossbar/direct-send path, whose digests carry no Cfg label.
+type cell struct {
 	scheme sfr.Scheme
 	gpus   int
-} {
-	return []struct {
-		scheme sfr.Scheme
-		gpus   int
-	}{
-		{sfr.Duplication{}, 2},
-		{sfr.GPUpd{}, 2},
-		{sfr.CHOPIN{}, 2},
-		{sfr.SortMiddle{}, 2},
-		{sfr.Duplication{}, 8},
-		{sfr.GPUpd{}, 8},
-		{sfr.CHOPIN{}, 8},
-		{sfr.SortMiddle{}, 8},
-	}
+	topo   interconnect.TopologyKind
+	alg    plan.Algorithm
 }
 
-// runDigests executes the determinism matrix with the given worker count and
-// returns one digest per simulation, in matrix order.
-func runDigests(opt Options, workers int) ([]Digest, error) {
-	opt.Workers = workers
+// label renders the cell's Cfg axis label: empty on the default path,
+// "<topology>/<algorithm>" off it.
+func (c cell) label() string {
+	if c.topo == interconnect.TopoCrossbar && c.alg == plan.AlgDirectSend {
+		return ""
+	}
+	return fmt.Sprintf("%s/%s", c.topo, c.alg)
+}
+
+// workerCells is the scheme × GPU-count grid of the worker axis.
+var workerCells = []cell{
+	{scheme: sfr.Duplication{}, gpus: 2},
+	{scheme: sfr.GPUpd{}, gpus: 2},
+	{scheme: sfr.CHOPIN{}, gpus: 2},
+	{scheme: sfr.SortMiddle{}, gpus: 2},
+	{scheme: sfr.Duplication{}, gpus: 8},
+	{scheme: sfr.GPUpd{}, gpus: 8},
+	{scheme: sfr.CHOPIN{}, gpus: 8},
+	{scheme: sfr.SortMiddle{}, gpus: 8},
+}
+
+// engineCells is the engine axis: five scheme rows covering every
+// scheduler path (including the round-robin CHOPIN variant), all at 4 GPUs
+// — a count distinct from the worker axis's 2 and 8, so a digest key
+// identifies which axis produced it.
+var engineCells = []cell{
+	{scheme: sfr.Duplication{}, gpus: 4},
+	{scheme: sfr.GPUpd{}, gpus: 4},
+	{scheme: sfr.CHOPIN{}, gpus: 4},
+	{scheme: sfr.CHOPIN{RoundRobin: true}, gpus: 4},
+	{scheme: sfr.SortMiddle{}, gpus: 4},
+}
+
+// scaleOutCells is the topology × exchange-plan axis: CHOPIN cells off the
+// default crossbar/direct-send path, at GPU counts that exercise
+// multi-round plans and routed fabrics.
+var scaleOutCells = []cell{
+	{sfr.CHOPIN{}, 8, interconnect.TopoCrossbar, plan.AlgBinarySwap},
+	{sfr.CHOPIN{}, 8, interconnect.TopoRing, plan.AlgDirectSend},
+	{sfr.CHOPIN{}, 16, interconnect.TopoRing, plan.AlgAuto},
+	{sfr.CHOPIN{}, 16, interconnect.TopoMesh2D, plan.AlgRadixK},
+}
+
+// runCells executes cells over every benchmark in the options and returns
+// one digest per simulation, benchmark by benchmark in cell order.
+func runCells(opt Options, cells []cell) ([]Digest, error) {
 	opt.normalize()
-	matrix := determinismMatrix()
-	n := len(matrix) * len(opt.Benchmarks)
+	n := len(cells) * len(opt.Benchmarks)
 	outs := make([]*stats.FrameStats, n)
 	imgs := make([]uint64, n)
-	var jobs []job
-	i := 0
+	jobs := make([]job, 0, n)
 	for _, bench := range opt.Benchmarks {
-		for _, m := range matrix {
+		for _, c := range cells {
 			cfg := opt.baseConfig()
-			cfg.NumGPUs = m.gpus
-			jobs = append(jobs, job{bench: bench, scheme: m.scheme, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
+			cfg.NumGPUs = c.gpus
+			cfg.Link.Topology = c.topo
+			cfg.CompAlg = c.alg
+			i := len(jobs)
+			jobs = append(jobs, job{bench: bench, scheme: c.scheme, cfg: cfg, out: &outs[i], img: &imgs[i]})
 		}
 	}
 	if err := runJobs(&opt, jobs); err != nil {
@@ -81,125 +112,7 @@ func runDigests(opt Options, workers int) ([]Digest, error) {
 			Scheme: jobs[i].scheme.Name(),
 			Bench:  jobs[i].bench,
 			GPUs:   jobs[i].cfg.NumGPUs,
-			Cycles: int64(st.TotalCycles),
-			Image:  imgs[i],
-		}
-	}
-	return digests, nil
-}
-
-// engineMatrix is the scheme set for the engine axis of the self-check:
-// five Scheme rows covering every scheduler path (including the
-// round-robin CHOPIN variant), all at a GPU count distinct from the
-// worker-axis matrix so digest keys stay unique.
-func engineMatrix() []sfr.Scheme {
-	return []sfr.Scheme{
-		sfr.Duplication{},
-		sfr.GPUpd{},
-		sfr.CHOPIN{},
-		sfr.CHOPIN{RoundRobin: true},
-		sfr.SortMiddle{},
-	}
-}
-
-// engineAxisGPUs is the GPU count used for the engine axis. It differs
-// from both worker-axis rows (2 and 8) so a digest key identifies which
-// axis produced it.
-const engineAxisGPUs = 4
-
-// runEngineDigests executes the engine matrix over every benchmark in the
-// options with the given Config.EngineWorkers value and returns one digest
-// per simulation, in matrix order.
-func runEngineDigests(opt Options, engineWorkers int) ([]Digest, error) {
-	opt.EngineWorkers = engineWorkers
-	opt.normalize()
-	schemes := engineMatrix()
-	n := len(schemes) * len(opt.Benchmarks)
-	outs := make([]*stats.FrameStats, n)
-	imgs := make([]uint64, n)
-	var jobs []job
-	i := 0
-	for _, bench := range opt.Benchmarks {
-		for _, s := range schemes {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = engineAxisGPUs
-			jobs = append(jobs, job{bench: bench, scheme: s, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
-		}
-	}
-	if err := runJobs(&opt, jobs); err != nil {
-		return nil, err
-	}
-	digests := make([]Digest, n)
-	for i, st := range outs {
-		digests[i] = Digest{
-			Scheme: jobs[i].scheme.Name(),
-			Bench:  jobs[i].bench,
-			GPUs:   jobs[i].cfg.NumGPUs,
-			Cycles: int64(st.TotalCycles),
-			Image:  imgs[i],
-		}
-	}
-	return digests, nil
-}
-
-// scaleOutMatrix is the topology × exchange-plan axis of the self-check:
-// CHOPIN cells off the default crossbar/direct-send path, at GPU counts
-// that exercise multi-round plans and routed fabrics.
-func scaleOutMatrix() []struct {
-	topo interconnect.TopologyKind
-	alg  plan.Algorithm
-	gpus int
-} {
-	return []struct {
-		topo interconnect.TopologyKind
-		alg  plan.Algorithm
-		gpus int
-	}{
-		{interconnect.TopoCrossbar, plan.AlgBinarySwap, 8},
-		{interconnect.TopoRing, plan.AlgDirectSend, 8},
-		{interconnect.TopoRing, plan.AlgAuto, 16},
-		{interconnect.TopoMesh2D, plan.AlgRadixK, 16},
-	}
-}
-
-// scaleOutLabel renders the matrix entry's Cfg axis label.
-func scaleOutLabel(topo interconnect.TopologyKind, alg plan.Algorithm) string {
-	return fmt.Sprintf("%s/%s", topo, alg)
-}
-
-// runScaleOutDigests executes the scale-out matrix over every benchmark in
-// the options with the given worker count and returns one digest per
-// simulation, in matrix order.
-func runScaleOutDigests(opt Options, workers int) ([]Digest, error) {
-	opt.Workers = workers
-	opt.normalize()
-	matrix := scaleOutMatrix()
-	n := len(matrix) * len(opt.Benchmarks)
-	outs := make([]*stats.FrameStats, n)
-	imgs := make([]uint64, n)
-	var jobs []job
-	i := 0
-	for _, bench := range opt.Benchmarks {
-		for _, m := range matrix {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = m.gpus
-			cfg.Link.Topology = m.topo
-			cfg.CompAlg = m.alg
-			jobs = append(jobs, job{bench: bench, scheme: sfr.CHOPIN{}, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
-		}
-	}
-	if err := runJobs(&opt, jobs); err != nil {
-		return nil, err
-	}
-	digests := make([]Digest, n)
-	for i, st := range outs {
-		digests[i] = Digest{
-			Scheme: jobs[i].scheme.Name(),
-			Bench:  jobs[i].bench,
-			GPUs:   jobs[i].cfg.NumGPUs,
-			Cfg:    scaleOutLabel(jobs[i].cfg.Link.Topology, jobs[i].cfg.CompAlg),
+			Cfg:    cells[i%len(cells)].label(),
 			Cycles: int64(st.TotalCycles),
 			Image:  imgs[i],
 		}
@@ -223,7 +136,7 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 	return diffs
 }
 
-// CheckDeterminism runs the self-check along two independent axes and
+// CheckDeterminism runs the self-check along three independent axes and
 // compares cycle counts and image checksums run-by-run.
 //
 // Axis 1 — concurrent simulations: the scheme × GPU-count matrix runs once
@@ -247,42 +160,38 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 // error describing each mismatch.
 func CheckDeterminism(opt Options) ([]Digest, error) {
 	opt.normalize()
-	seq, err := runDigests(opt, 1)
-	if err != nil {
-		return nil, fmt.Errorf("sequential pass: %w", err)
-	}
-	par, err := runDigests(opt, opt.Workers)
-	if err != nil {
-		return seq, fmt.Errorf("parallel pass: %w", err)
-	}
-	diffs := diffDigests(seq, par, "sequential", "parallel")
-
 	engWorkers := opt.EngineWorkers
 	if engWorkers < 2 {
 		engWorkers = 4
 	}
-	eseq, err := runEngineDigests(opt, 0)
-	if err != nil {
-		return seq, fmt.Errorf("sequential-engine pass: %w", err)
+	seq, inlineEng, fanEng := opt, opt, opt
+	seq.Workers = 1
+	inlineEng.EngineWorkers = 0
+	fanEng.EngineWorkers = engWorkers
+	axes := []struct {
+		name   string
+		cells  []cell
+		a, b   Options
+		la, lb string
+	}{
+		{"worker", workerCells, seq, opt, "sequential", "parallel"},
+		{"engine", engineCells, inlineEng, fanEng, "sequential engine", fmt.Sprintf("engine-workers=%d", engWorkers)},
+		{"scale-out", scaleOutCells, seq, opt, "sequential", "parallel"},
 	}
-	epar, err := runEngineDigests(opt, engWorkers)
-	if err != nil {
-		return seq, fmt.Errorf("parallel-engine pass: %w", err)
+	var all []Digest
+	var diffs []string
+	for _, ax := range axes {
+		a, err := runCells(ax.a, ax.cells)
+		if err != nil {
+			return all, fmt.Errorf("%s axis, %s pass: %w", ax.name, ax.la, err)
+		}
+		b, err := runCells(ax.b, ax.cells)
+		if err != nil {
+			return all, fmt.Errorf("%s axis, %s pass: %w", ax.name, ax.lb, err)
+		}
+		all = append(all, a...)
+		diffs = append(diffs, diffDigests(a, b, ax.la, ax.lb)...)
 	}
-	diffs = append(diffs, diffDigests(eseq, epar, "sequential engine", fmt.Sprintf("engine-workers=%d", engWorkers))...)
-
-	sseq, err := runScaleOutDigests(opt, 1)
-	if err != nil {
-		return seq, fmt.Errorf("sequential scale-out pass: %w", err)
-	}
-	spar, err := runScaleOutDigests(opt, opt.Workers)
-	if err != nil {
-		return seq, fmt.Errorf("parallel scale-out pass: %w", err)
-	}
-	diffs = append(diffs, diffDigests(sseq, spar, "sequential", "parallel")...)
-
-	all := append(seq, eseq...)
-	all = append(all, sseq...)
 	if len(diffs) > 0 {
 		return all, fmt.Errorf("experiments: %d determinism violation(s):\n  %s",
 			len(diffs), strings.Join(diffs, "\n  "))

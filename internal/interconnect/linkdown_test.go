@@ -203,6 +203,43 @@ func TestRetryReclaimsRoutedLinks(t *testing.T) {
 	}
 }
 
+// TestRetryCrossbarLinkAttribution pins retry attribution on the crossbar:
+// a retransmission re-claims its pair's dedicated link, so that link — and
+// only that link — counts the retry, and the hottest-links report shows it
+// next to the transfers that include the retransmission. Nothing detours.
+func TestRetryCrossbarLinkAttribution(t *testing.T) {
+	const n, src, dst = 4, 1, 3
+	eng := sim.New()
+	cfg := DefaultConfig()
+	cfg.Retry = RetryConfig{Timeout: 100, MaxRetries: 3, Backoff: 32, BackoffCap: 128}
+	f := newFabric(t, eng, n, cfg)
+	f.SetInjector(&scriptInjector{script: []Fault{{Kind: FaultDrop}}})
+	lt := f.EnableLinkTelemetry()
+
+	f.Send(src, dst, 6400, ClassComposition, nil)
+	eng.Run()
+	if fc := f.Stats().FaultsFor(ClassComposition); fc.Drops != 1 || fc.Retries != 1 {
+		t.Fatalf("counters = %+v, want 1 drop, 1 retry", fc)
+	}
+	link := src*n + dst
+	for l := 0; l < n*n; l++ {
+		want := int64(0)
+		if l == link {
+			want = 1
+		}
+		if got := f.LinkRetryCount(l); got != want {
+			t.Errorf("link %d retry count = %d, want %d", l, got, want)
+		}
+		if got := lt.Reroutes(l); got != 0 {
+			t.Errorf("link %d reroutes = %d, want 0", l, got)
+		}
+	}
+	top := lt.Top(5)
+	if len(top) != 1 || top[0].Link != link || top[0].Retries != 1 || top[0].Transfers != 2 {
+		t.Errorf("Top = %+v, want link %d with 2 transfers and 1 retry", top, link)
+	}
+}
+
 // TestRoutedSendNilInjectorAllocs proves the fault-free routed send path
 // stays allocation-free: no injector, no downed links, a warm steady state.
 func TestRoutedSendNilInjectorAllocs(t *testing.T) {

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"testing"
 
 	"chopin/internal/sim"
@@ -65,9 +66,9 @@ func TestLinkTelemetryCrossbar(t *testing.T) {
 	if got := f.EnableLinkTelemetry(); got != lt {
 		t.Fatalf("EnableLinkTelemetry not idempotent")
 	}
-	// Same shape as TestStartObserver: 6400 B at 64 B/cycle is tx=100. The
-	// first transfer runs 0→300; the second queues 100 cycles behind it and
-	// runs 100→400.
+	// 6400 B at 64 B/cycle is tx=100. The first transfer runs 0→300; the
+	// second queues 100 cycles behind it at the egress port and runs
+	// 100→400.
 	f.Send(0, 1, 6400, ClassComposition, nil)
 	f.Send(0, 2, 6400, ClassComposition, nil)
 	eng.Run()
@@ -97,6 +98,54 @@ func TestLinkTelemetryCrossbar(t *testing.T) {
 	top := lt.Top(10)
 	if len(top) != 2 || top[0].Link != l01 || top[1].Link != l02 {
 		t.Errorf("Top = %+v, want links %d,%d (busy tie breaks by id)", top, l01, l02)
+	}
+}
+
+// TestLinkTelemetryMatchesRoutes checks per-link bytes and busy cycles
+// against the topology's routes directly: after a fixed all-pairs burst,
+// every link carries exactly the bytes and transmission cycles of the
+// transfers whose route crosses it, and links on no route stay at zero.
+func TestLinkTelemetryMatchesRoutes(t *testing.T) {
+	for _, tc := range []struct {
+		kind TopologyKind
+		n    int
+	}{
+		{TopoCrossbar, 8},
+		{TopoRing, 16},
+		{TopoMesh2D, 12},
+	} {
+		t.Run(fmt.Sprintf("%s%d", tc.kind, tc.n), func(t *testing.T) {
+			eng := sim.New()
+			f := newFabric(t, eng, tc.n, topoConfig(tc.kind))
+			lt := f.EnableLinkTelemetry()
+			topo := f.Topology()
+			wantBytes := make([]int64, topo.NumLinks())
+			wantBusy := make([]sim.Cycle, topo.NumLinks())
+			for src := 0; src < tc.n; src++ {
+				for dst := 0; dst < tc.n; dst++ {
+					if src == dst {
+						continue
+					}
+					bytes := int64(1000 + 37*(src*tc.n+dst))
+					tx := sim.Cycle((bytes + 63) / 64) // 64 B/cycle, rounded up
+					f.Send(src, dst, bytes, ClassComposition, nil)
+					for _, l := range topo.Route(src, dst, nil) {
+						wantBytes[l] += bytes
+						wantBusy[l] += tx
+					}
+				}
+			}
+			eng.Run()
+			if lt.NumLinks() != topo.NumLinks() {
+				t.Fatalf("telemetry has %d links, topology %d", lt.NumLinks(), topo.NumLinks())
+			}
+			for l := 0; l < topo.NumLinks(); l++ {
+				if lt.BytesOn(l) != wantBytes[l] || lt.BusyCycles(l) != wantBusy[l] {
+					t.Errorf("link %d: %d B busy %d, want %d B busy %d",
+						l, lt.BytesOn(l), lt.BusyCycles(l), wantBytes[l], wantBusy[l])
+				}
+			}
+		})
 	}
 }
 

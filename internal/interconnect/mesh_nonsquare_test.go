@@ -61,8 +61,8 @@ func TestMeshNonSquareHopTable(t *testing.T) {
 	}
 	for src := 0; src < 6; src++ {
 		for dst := 0; dst < 6; dst++ {
-			if got := topo6.Hops(src, dst); got != want[src][dst] {
-				t.Errorf("n=6 Hops(%d,%d) = %d, want %d", src, dst, got, want[src][dst])
+			if got := len(topo6.Route(src, dst, nil)); got != want[src][dst] {
+				t.Errorf("n=6 hops(%d,%d) = %d, want %d", src, dst, got, want[src][dst])
 			}
 		}
 	}
@@ -71,19 +71,19 @@ func TestMeshNonSquareHopTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo12.Hops(8, 3); got != 5 { // (2,0)→(0,3): the 4×3 diameter
-		t.Errorf("n=12 Hops(8,3) = %d, want 5", got)
+	if got := len(topo12.Route(8, 3, nil)); got != 5 { // (2,0)→(0,3): the 4×3 diameter
+		t.Errorf("n=12 hops(8,3) = %d, want 5", got)
 	}
 
 	topo48, err := NewTopology(TopoMesh2D, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo48.Hops(0, 47); got != 11 { // (0,0)→(6,5): longest realized
-		t.Errorf("n=48 Hops(0,47) = %d, want 11", got)
+	if got := len(topo48.Route(0, 47, nil)); got != 11 { // (0,0)→(6,5): longest realized
+		t.Errorf("n=48 hops(0,47) = %d, want 11", got)
 	}
-	if got := topo48.Hops(44, 6); got != 10 { // (6,2)→(0,6)
-		t.Errorf("n=48 Hops(44,6) = %d, want 10", got)
+	if got := len(topo48.Route(44, 6, nil)); got != 10 { // (6,2)→(0,6)
+		t.Errorf("n=48 hops(44,6) = %d, want 10", got)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Topology extracts the fabric's wiring from its port model. The legacy
-// fabric is a full crossbar (NVSwitch-style): every GPU pair is connected
-// point-to-point, so a transfer's only resources are the source egress port
-// and the destination ingress port. Scale-out systems are not crossbars —
+// Topology extracts the fabric's wiring from its port model. The default
+// fabric is a full crossbar (NVSwitch-style): every ordered GPU pair has its
+// own dedicated point-to-point link. Scale-out systems are not crossbars —
 // ring (NVLink bridges) and 2D-mesh fabrics route a bulk transfer over a
 // path of shared link channels, each with its own finite bandwidth, so
 // transfers crossing the same link contend even when their endpoints are
@@ -10,19 +9,19 @@
 // A Topology enumerates directed links and routes each (src, dst) pair over
 // them deterministically. The fabric claims the routed path hop by hop: a
 // transfer waits for each link's previous occupant to drain, holds the link
-// for its own transmission time, and pays the link latency per hop. The
-// crossbar keeps a nil Topology and the exact legacy timing path.
+// for its own transmission time, and pays the link latency per hop. Every
+// non-ideal fabric, the crossbar included, takes this one path.
 package interconnect
 
 import "fmt"
 
-// TopologyKind selects the fabric wiring. The zero value is the legacy
+// TopologyKind selects the fabric wiring. The zero value is the paper's
 // crossbar, so existing configurations are unchanged.
 type TopologyKind uint8
 
 const (
-	// TopoCrossbar is the legacy full crossbar: every pair directly
-	// connected, no shared links, bit-for-bit the original timing model.
+	// TopoCrossbar is the full crossbar: every ordered pair has a dedicated
+	// one-hop link that no other pair shares.
 	TopoCrossbar TopologyKind = iota
 	// TopoRing connects GPU i to (i±1) mod n with one directed link per
 	// direction; transfers take the shorter way around.
@@ -75,32 +74,28 @@ type Topology interface {
 	// plan auto-selection (a high-diameter fabric favours neighbour-heavy
 	// exchange plans).
 	Diameter() int
-	// Hops returns the length of the src→dst route.
-	Hops(src, dst int) int
 	// Route appends the directed link IDs of the src→dst path to buf and
 	// returns it. src != dst; callers reuse buf to keep the hot path
 	// allocation-free.
 	Route(src, dst int, buf []int) []int
-	// LinkBetween returns the directed link id carrying src→dst when the two
-	// nodes are direct neighbours, or -1. This is how link fail-stop faults
-	// name a physical link by its endpoints.
+	// LinkBetween returns the directed link id carrying src→dst when one
+	// link joins the two nodes directly, or -1. This is how link fail-stop
+	// faults name a physical link by its endpoints.
 	LinkBetween(src, dst int) int
-	// Neighbors appends src's direct neighbours to buf in ascending link-id
-	// order and returns it — the adjacency the fabric's detour search walks
-	// when links are down.
+	// Neighbors appends, in ascending link-id order, the nodes a detour from
+	// src may pass through next, and returns buf — the adjacency the
+	// fabric's detour search walks when links are down.
 	Neighbors(src int, buf []int) []int
 }
 
-// NewTopology builds the routed topology for kind over n GPUs.
-// TopoCrossbar returns (nil, nil): the crossbar has no shared links and the
-// fabric keeps its legacy path.
+// NewTopology builds the topology for kind over n GPUs.
 func NewTopology(kind TopologyKind, n int) (Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("interconnect: invalid GPU count %d for topology %s", n, kind)
 	}
 	switch kind {
 	case TopoCrossbar:
-		return nil, nil
+		return &crossbar{n: n}, nil
 	case TopoRing:
 		return &ring{n: n}, nil
 	case TopoMesh2D:
@@ -110,6 +105,29 @@ func NewTopology(kind TopologyKind, n int) (Topology, error) {
 	}
 }
 
+// crossbar gives every ordered pair its own directed link, id src·n + dst.
+// A link carries only its own pair's transfers, which the source's egress
+// port already serialises, so a transfer never waits for one. Endpoints do
+// not forward, so a downed pair has no detour.
+type crossbar struct{ n int }
+
+func (c *crossbar) Kind() TopologyKind { return TopoCrossbar }
+func (c *crossbar) NumLinks() int      { return c.n * c.n }
+func (c *crossbar) Diameter() int      { return 1 }
+
+func (c *crossbar) Route(src, dst int, buf []int) []int {
+	return append(buf, src*c.n+dst)
+}
+
+func (c *crossbar) LinkBetween(src, dst int) int {
+	if src == dst || src < 0 || dst < 0 || src >= c.n || dst >= c.n {
+		return -1
+	}
+	return src*c.n + dst
+}
+
+func (c *crossbar) Neighbors(src int, buf []int) []int { return buf }
+
 // ring is a bidirectional ring: link i carries i→(i+1)%n (clockwise), link
 // n+i carries i→(i−1+n)%n (counter-clockwise). Routes take the shorter
 // direction; ties (even n, antipodal pair) break clockwise.
@@ -118,11 +136,6 @@ type ring struct{ n int }
 func (r *ring) Kind() TopologyKind { return TopoRing }
 func (r *ring) NumLinks() int      { return 2 * r.n }
 func (r *ring) Diameter() int      { return r.n / 2 }
-
-func (r *ring) Hops(src, dst int) int {
-	d := (dst - src + r.n) % r.n
-	return min(d, r.n-d)
-}
 
 func (r *ring) Route(src, dst int, buf []int) []int {
 	d := (dst - src + r.n) % r.n
@@ -179,12 +192,6 @@ func newMesh2D(n int) *mesh2D {
 func (m *mesh2D) Kind() TopologyKind { return TopoMesh2D }
 func (m *mesh2D) NumLinks() int      { return 4 * m.n }
 func (m *mesh2D) Diameter() int      { return (m.rows - 1) + (m.cols - 1) }
-
-func (m *mesh2D) Hops(src, dst int) int {
-	sr, sc := src/m.cols, src%m.cols
-	dr, dc := dst/m.cols, dst%m.cols
-	return abs(sr-dr) + abs(sc-dc)
-}
 
 func (m *mesh2D) Route(src, dst int, buf []int) []int {
 	sr, sc := src/m.cols, src%m.cols
@@ -260,11 +267,4 @@ func (m *mesh2D) Neighbors(src int, buf []int) []int {
 		buf = append(buf, src-m.cols)
 	}
 	return buf
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

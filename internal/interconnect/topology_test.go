@@ -11,6 +11,8 @@ import (
 func linkEndpoints(t *testing.T, topo Topology, n, link int) (int, int) {
 	t.Helper()
 	switch topo.Kind() {
+	case TopoCrossbar:
+		return link / n, link % n
 	case TopoRing:
 		if link < n {
 			return link, (link + 1) % n
@@ -39,10 +41,11 @@ func linkEndpoints(t *testing.T, topo Topology, n, link int) (int, int) {
 
 // TestTopologyRoutes checks, for every pair at a spread of GPU counts
 // (including partial mesh rows and the full 64-GPU scale), that routes are
-// valid link chains from src to dst, lengths match Hops, link IDs are in
-// range, and hop counts never exceed the diameter.
+// valid link chains from src to dst, every hop is the LinkBetween its
+// endpoints, link IDs are in range, and hop counts never exceed the
+// diameter.
 func TestTopologyRoutes(t *testing.T) {
-	for _, kind := range []TopologyKind{TopoRing, TopoMesh2D} {
+	for _, kind := range []TopologyKind{TopoCrossbar, TopoRing, TopoMesh2D} {
 		for _, n := range []int{2, 3, 5, 7, 8, 9, 12, 16, 33, 48, 64} {
 			topo, err := NewTopology(kind, n)
 			if err != nil {
@@ -54,10 +57,6 @@ func TestTopologyRoutes(t *testing.T) {
 						continue
 					}
 					route := topo.Route(src, dst, nil)
-					if len(route) != topo.Hops(src, dst) {
-						t.Fatalf("%v n=%d %d→%d: len(route)=%d, Hops=%d",
-							kind, n, src, dst, len(route), topo.Hops(src, dst))
-					}
 					if len(route) > topo.Diameter() {
 						t.Fatalf("%v n=%d %d→%d: %d hops exceeds diameter %d",
 							kind, n, src, dst, len(route), topo.Diameter())
@@ -77,6 +76,10 @@ func TestTopologyRoutes(t *testing.T) {
 							t.Fatalf("%v n=%d %d→%d: link %d leads to nonexistent node %d",
 								kind, n, src, dst, l, to)
 						}
+						if got := topo.LinkBetween(from, to); got != l {
+							t.Fatalf("%v n=%d %d→%d: LinkBetween(%d,%d)=%d, route uses %d",
+								kind, n, src, dst, from, to, got, l)
+						}
 						at = to
 					}
 					if at != dst {
@@ -88,18 +91,47 @@ func TestTopologyRoutes(t *testing.T) {
 	}
 }
 
-// TestTopologyCrossbarIsNil pins the default contract: the crossbar has no
-// routed topology — New returns a nil Topology so the fabric keeps its
-// legacy nil-check-only timing path — and diameter 1.
-func TestTopologyCrossbarIsNil(t *testing.T) {
-	topo, err := NewTopology(TopoCrossbar, 8)
-	if err != nil || topo != nil {
-		t.Fatalf("NewTopology(crossbar) = (%v, %v), want (nil, nil)", topo, err)
+// TestTopologyCrossbar pins the crossbar's wiring: one dedicated directed
+// link src·n+dst per ordered pair (the id space link telemetry reports),
+// diameter 1 at every size, and no forwarding neighbours, so a downed pair
+// has no detour. The default fabric is wired this way.
+func TestTopologyCrossbar(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 64} {
+		topo, err := NewTopology(TopoCrossbar, n)
+		if err != nil {
+			t.Fatalf("NewTopology(crossbar, %d): %v", n, err)
+		}
+		if topo.Kind() != TopoCrossbar || topo.NumLinks() != n*n || topo.Diameter() != 1 {
+			t.Fatalf("n=%d: kind %v, %d links, diameter %d; want crossbar, %d, 1",
+				n, topo.Kind(), topo.NumLinks(), topo.Diameter(), n*n)
+		}
+		for src := 0; src < n; src++ {
+			if nb := topo.Neighbors(src, nil); len(nb) != 0 {
+				t.Fatalf("n=%d: Neighbors(%d) = %v, want none", n, src, nb)
+			}
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					if l := topo.LinkBetween(src, dst); l != -1 {
+						t.Fatalf("n=%d: self pair %d has link %d", n, src, l)
+					}
+					continue
+				}
+				route := topo.Route(src, dst, nil)
+				if len(route) != 1 || route[0] != src*n+dst {
+					t.Fatalf("n=%d: Route(%d,%d) = %v, want [%d]", n, src, dst, route, src*n+dst)
+				}
+				if l := topo.LinkBetween(src, dst); l != route[0] {
+					t.Fatalf("n=%d: LinkBetween(%d,%d) = %d, want %d", n, src, dst, l, route[0])
+				}
+			}
+		}
+		if l := topo.LinkBetween(0, n); l != -1 {
+			t.Fatalf("n=%d: out-of-range pair has link %d", n, l)
+		}
 	}
-	eng := sim.New()
-	f := newFabric(t, eng, 8, DefaultConfig())
-	if f.Topology() != nil || f.Diameter() != 1 {
-		t.Fatalf("default fabric: topology %v, diameter %d; want nil, 1", f.Topology(), f.Diameter())
+	f := newFabric(t, sim.New(), 8, DefaultConfig())
+	if f.Topology() == nil || f.Topology().Kind() != TopoCrossbar || f.Diameter() != 1 {
+		t.Fatalf("default fabric: topology %v, diameter %d; want crossbar, 1", f.Topology(), f.Diameter())
 	}
 }
 
