@@ -70,6 +70,26 @@ func validateMetricsInterval(v int64) error {
 	return nil
 }
 
+// validateScale rejects trace scales outside (0,1]: trace.Generate builds
+// any such scale at full size, while the group threshold, the printed
+// summary and the run record would still use the raw value.
+func validateScale(v float64) error {
+	if !(v > 0 && v <= 1) {
+		return &UsageError{Flag: "scale", Reason: fmt.Sprintf("trace scale must be in (0,1], got %g", v)}
+	}
+	return nil
+}
+
+// validateStragglerWindow rejects negative watchdog windows: they run
+// exactly like 0 (off) but would re-key the configuration fingerprint.
+func validateStragglerWindow(v int64) error {
+	if v < 0 {
+		return &UsageError{Flag: "straggler-window",
+			Reason: fmt.Sprintf("progress window must be a non-negative cycle count (0 = off), got %d", v)}
+	}
+	return nil
+}
+
 // gitRev reports the VCS revision stamped into the binary, or "unknown"
 // (e.g. under `go run`, which does not stamp VCS info). Run records embed
 // it; it never varies between two runs of the same binary, preserving the
@@ -93,7 +113,7 @@ func main() {
 		benches = flag.String("benches", "", "comma-separated benchmark subset (default: all eight)")
 		scheme  = flag.String("scheme", "", "single run: duplication | gpupd | sort-middle | chopin | chopin-naive | chopin-rr | chopin-reorder")
 		bench   = flag.String("bench", "cod2", "single run: benchmark name")
-		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 with an exchange plan)")
+		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 for chopin, chopin-reorder and exchange plans; duplication, gpupd, sort-middle, chopin-naive and chopin-rr have no cap)")
 		ideal   = flag.Bool("ideal", false, "single run: idealized inter-GPU links")
 		topo    = flag.String("topology", "", "single run: inter-GPU fabric: crossbar | ring | mesh (default crossbar)")
 		compAlg = flag.String("comp-alg", "", "single run: CHOPIN composition exchange plan: direct-send | binary-swap | radix-k | mixed-radix | auto (default direct-send)")
@@ -125,9 +145,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateMetricsInterval(*mInterv); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
+	for _, err := range []error{validateMetricsInterval(*mInterv), validateScale(*scale), validateStragglerWindow(*stragglerW)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(2)
+		}
 	}
 
 	if *cpuprof != "" {

@@ -217,26 +217,36 @@ func (p *Plan) Sessions() int {
 	return total
 }
 
-// DirectSend builds the one-round all-pairs plan: sender g addresses
-// receivers (g+1)%n, (g+2)%n, … — the exact order the scheme layer's naive
-// path uses, so session-derived bookkeeping reproduces it transfer for
-// transfer.
+// DirectSend builds the one-round all-pairs plan in the fixed-priority scan
+// order of the paper's composition arbiter (Fig. 12): ascending sender, then
+// ascending receiver. core.PlanScheduler starts sessions in plan order, so
+// this order is the arbiter's priority.
 func DirectSend(n, h int) (*Plan, error) {
 	if err := checkDims(n, h); err != nil {
 		return nil, err
 	}
 	p := &Plan{Alg: AlgDirectSend, N: n, Height: h, OwnerRegions: true, Final: make([]Region, n)}
-	if n == 1 {
-		return p, nil
+	if n > 1 {
+		p.Rounds = []Round{directSendOver(identity(n), h)}
 	}
-	round := make(Round, 0, n*(n-1))
-	for g := 0; g < n; g++ {
-		for off := 1; off < n; off++ {
-			round = append(round, Session{Sender: g, Receiver: (g + off) % n, Region: Region{0, h}})
+	return p, nil
+}
+
+// directSendOver is the direct-send round over an explicit participant list
+// (ascending GPU ids): every ordered pair once, in ascending (sender,
+// receiver) order, each session spanning the full screen. Repair reuses it
+// over a survivor set.
+func directSendOver(ids []int, h int) Round {
+	m := len(ids)
+	round := make(Round, 0, m*(m-1))
+	for _, s := range ids {
+		for _, r := range ids {
+			if r != s {
+				round = append(round, Session{Sender: s, Receiver: r, Region: Region{0, h}})
+			}
 		}
 	}
-	p.Rounds = []Round{round}
-	return p, nil
+	return round
 }
 
 // BinarySwap builds the log2(n)-round pairwise halving plan. n must be a
@@ -311,11 +321,16 @@ func MixedRadix(n, h int) (*Plan, error) {
 // radixRounds generates the grouped direct-send rounds for the given factor
 // sequence and returns them with the final per-GPU regions.
 func radixRounds(n, h int, factors []int) ([]Round, []Region) {
+	return radixRoundsOver(identity(n), h, factors)
+}
+
+// identity returns the participant list 0..n-1.
+func identity(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return radixRoundsOver(ids, h, factors)
+	return ids
 }
 
 // radixRoundsOver is radixRounds generalized to an explicit participant list:
@@ -663,13 +678,7 @@ func Repair(p *Plan, live []bool, completedRounds int) (*Plan, error) {
 		return q, nil
 	}
 	if q.OwnerRegions {
-		round := make(Round, 0, m*(m-1))
-		for i, g := range ids {
-			for off := 1; off < m; off++ {
-				round = append(round, Session{Sender: g, Receiver: ids[(i+off)%m], Region: Region{0, p.Height}})
-			}
-		}
-		q.Rounds = []Round{round}
+		q.Rounds = []Round{directSendOver(ids, p.Height)}
 		return q, nil
 	}
 	q.Alg = AlgMixedRadix

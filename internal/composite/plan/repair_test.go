@@ -113,7 +113,8 @@ func TestRepairLoneSurvivor(t *testing.T) {
 }
 
 // TestRepairOwnerRegions covers the direct-send shape: the repair is a
-// survivor direct-send with m·(m−1) full-screen sessions.
+// survivor direct-send with m·(m−1) full-screen sessions, in DirectSend's
+// ascending (sender, receiver) order.
 func TestRepairOwnerRegions(t *testing.T) {
 	src, err := DirectSend(5, 64)
 	if err != nil {
@@ -129,6 +130,12 @@ func TestRepairOwnerRegions(t *testing.T) {
 	}
 	if got := rp.Sessions(); got != 4*3 {
 		t.Fatalf("direct-send repair has %d sessions, want 12", got)
+	}
+	for i, s := range rp.Rounds[0][1:] {
+		prev := rp.Rounds[0][i]
+		if s.Sender < prev.Sender || (s.Sender == prev.Sender && s.Receiver <= prev.Receiver) {
+			t.Fatalf("session %d→%d follows %d→%d: want ascending (sender, receiver)", s.Sender, s.Receiver, prev.Sender, prev.Receiver)
+		}
 	}
 	if err := Check(rp); err != nil {
 		t.Fatalf("direct-send repair fails Check: %v", err)

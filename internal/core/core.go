@@ -16,9 +16,11 @@
 //   - [LeastLoadedScheduler], the draw-command scheduler of Fig. 10, which
 //     tracks scheduled and processed triangle counts per GPU and assigns
 //     each draw to the GPU with the fewest remaining triangles;
-//   - [CompositionScheduler], the image-composition scheduler of Table I
-//     and Figs. 11–12, which pairs up ready GPUs so sub-image exchange
-//     never congests the fabric; and
+//   - [PlanScheduler], the image-composition scheduler of Table I and
+//     Figs. 11–12, which starts a sub-image transfer only when both GPUs are
+//     ready and both ports are free, so exchange never congests the fabric.
+//     Driven over the one-round plan.DirectSend it is the paper's arbiter;
+//     over a multi-round exchange plan it also gates each round; and
 //   - [TransparentComposer], the adjacent-merge tracker for transparent
 //     groups.
 //
@@ -157,8 +159,9 @@ type HardwareCost struct {
 	// DrawSchedulerBytes is the draw-command scheduler table: per GPU, two
 	// 64-bit triangle counters.
 	DrawSchedulerBytes int
-	// CompSchedulerBytes is the composition scheduler table: per GPU, a
-	// 1-byte CGID, three 1-bit flags, and two n-bit GPU vectors.
+	// CompSchedulerBytes is the paper's Table I composition scheduler
+	// storage: per GPU, a 1-byte CGID, three 1-bit flags, and two n-bit GPU
+	// vectors (PlanScheduler holds the same state in simulator form).
 	CompSchedulerBytes int
 }
 

@@ -204,124 +204,6 @@ func TestDivideRangePreservesOrderAndBalance(t *testing.T) {
 	}
 }
 
-func TestCompositionSchedulerFullExchange(t *testing.T) {
-	const n = 4
-	cs, _ := NewCompositionScheduler(n)
-	for g := 0; g < n; g++ {
-		cs.SetReady(g, 1)
-	}
-	transfers := map[[2]int]bool{}
-	rounds := 0
-	var inflight []Session
-	for !cs.Done() {
-		rounds++
-		if rounds > 100 {
-			t.Fatal("composition did not converge")
-		}
-		sessions := cs.NextSessions()
-		if len(sessions) == 0 && len(inflight) == 0 {
-			t.Fatalf("deadlock: no sessions and nothing in flight (transfers=%d)", len(transfers))
-		}
-		inflight = append(inflight, sessions...)
-		// Complete one in-flight session per iteration, in order.
-		s := inflight[0]
-		inflight = inflight[1:]
-		key := [2]int{s.Sender, s.Receiver}
-		if transfers[key] {
-			t.Fatalf("duplicate transfer %v", key)
-		}
-		transfers[key] = true
-		cs.Complete(s)
-	}
-	if len(transfers) != n*(n-1) {
-		t.Errorf("transfers = %d, want %d", len(transfers), n*(n-1))
-	}
-}
-
-func TestCompositionSchedulerPortExclusivity(t *testing.T) {
-	cs, _ := NewCompositionScheduler(4)
-	for g := 0; g < 4; g++ {
-		cs.SetReady(g, 1)
-	}
-	sessions := cs.NextSessions()
-	sendBusy := map[int]bool{}
-	recvBusy := map[int]bool{}
-	for _, s := range sessions {
-		if sendBusy[s.Sender] {
-			t.Errorf("sender %d double-booked", s.Sender)
-		}
-		if recvBusy[s.Receiver] {
-			t.Errorf("receiver %d double-booked", s.Receiver)
-		}
-		sendBusy[s.Sender] = true
-		recvBusy[s.Receiver] = true
-	}
-	if len(sessions) == 0 {
-		t.Fatal("no sessions scheduled among 4 ready GPUs")
-	}
-}
-
-func TestCompositionSchedulerRespectsReadiness(t *testing.T) {
-	cs, _ := NewCompositionScheduler(3)
-	cs.SetReady(0, 1)
-	// Only GPU0 ready: nothing can pair.
-	if got := cs.NextSessions(); len(got) != 0 {
-		t.Errorf("sessions with one ready GPU = %v", got)
-	}
-	cs.SetReady(1, 1)
-	// Links are full duplex: both directions of the pair start together.
-	got := cs.NextSessions()
-	if len(got) != 2 {
-		t.Fatalf("sessions = %v, want both directions", got)
-	}
-	if got[0].Sender != 0 || got[0].Receiver != 1 || got[1].Sender != 1 || got[1].Receiver != 0 {
-		t.Errorf("sessions = %v", got)
-	}
-	cs.Complete(got[0])
-	cs.Complete(got[1])
-	// GPU2 never became ready, so the exchange is not globally done.
-	if cs.Done() {
-		t.Error("scheduler done with GPU2 outstanding")
-	}
-}
-
-func TestCompositionSchedulerMismatchedCGID(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	cs.SetReady(0, 1)
-	cs.SetReady(1, 2) // different group
-	if got := cs.NextSessions(); len(got) != 0 {
-		t.Errorf("cross-group session scheduled: %v", got)
-	}
-}
-
-func TestCompositionSchedulerCompleteUnscheduledErrors(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	if err := cs.Complete(Session{Sender: 0, Receiver: 1}); err == nil {
-		t.Error("expected error for unscheduled completion")
-	}
-	if _, err := NewCompositionScheduler(0); err == nil {
-		t.Error("expected error for zero GPUs")
-	}
-}
-
-func TestCompositionSchedulerReset(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	cs.SetReady(0, 1)
-	cs.SetReady(1, 1)
-	for !cs.Done() {
-		for _, s := range cs.NextSessions() {
-			cs.Complete(s)
-		}
-	}
-	cs.Reset()
-	if cs.Done() {
-		t.Error("reset scheduler should not be done")
-	}
-	if e := cs.Entry(0); e.Ready || e.SentGPUs != 0 {
-		t.Errorf("entry after reset = %+v", e)
-	}
-}
-
 func TestTransparentComposerChain(t *testing.T) {
 	const n = 4
 	tc := NewTransparentComposer(n)

@@ -6,17 +6,22 @@ import (
 	"chopin/internal/composite/plan"
 )
 
-// PlanScheduler drives one composition group through an exchange plan. It
-// generalizes CompositionScheduler's Fig. 12 arbitration — sessions start
-// only when both parties are ready and both ports are free — to multi-round
-// plans: a session in round r may start only when its sender and receiver
-// have both completed all their round r−1 sessions, so every merge a sender
-// forwards in round r already includes everything it accumulated in earlier
-// rounds.
+// PlanScheduler drives one composition group through an exchange plan with
+// the paper's Fig. 12 arbitration: a session starts only when both parties
+// are ready and both ports are free. Over multi-round plans a session in
+// round r may start only when its sender and receiver have both completed
+// all their round r−1 sessions, so every merge a sender forwards in round r
+// already includes everything it accumulated in earlier rounds.
+//
+// Table I maps onto it as follows: Ready, Sending and Receiving are the
+// per-GPU fields; SentGPUs and ReceivedGPUs are the per-session state of the
+// direct-send round (plan.DirectSend); and CGID is replaced by one scheduler
+// per composition group.
 //
 // Like the hardware scheduler it models, the scan order is deterministic
-// (ascending round, then the plan's session order), so identical inputs
-// schedule identical session sequences.
+// (ascending round, then the plan's session order — ascending sender, then
+// receiver, for direct-send), so identical inputs schedule identical
+// session sequences.
 type PlanScheduler struct {
 	p         *plan.Plan
 	ready     []bool

@@ -6,29 +6,40 @@ import (
 	"testing/quick"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/primitive"
 )
 
-// TestQuickCompositionSchedulerConverges: for any GPU count and any order
-// of readiness and session completions, the scheduler performs exactly
-// n·(n−1) directed transfers, never double-books a port, and terminates.
-func TestQuickCompositionSchedulerConverges(t *testing.T) {
+// TestQuickDirectSendSchedulerConverges: for any GPU count and any order
+// of readiness and session completions, the composition arbiter over a
+// direct-send plan performs exactly n·(n−1) directed transfers, never
+// double-books a port, and terminates.
+func TestQuickDirectSendSchedulerConverges(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := 2 + int(nRaw)%15
 		rng := rand.New(rand.NewSource(seed))
-		cs, _ := NewCompositionScheduler(n)
+		p, err := plan.DirectSend(n, 8)
+		if err != nil {
+			return false
+		}
+		ps, err := NewPlanScheduler(p)
+		if err != nil {
+			return false
+		}
 
 		readyOrder := rng.Perm(n)
 		readyIdx := 0
-		var inflight []Session
+		var inflight []plan.Session
+		sending := make([]bool, n)
+		receiving := make([]bool, n)
 		transfers := map[[2]int]bool{}
-		for steps := 0; !cs.Done(); steps++ {
+		for steps := 0; !ps.Done(); steps++ {
 			if steps > 10000 {
 				return false // livelock
 			}
 			// Randomly interleave readiness events and completions.
 			if readyIdx < n && (len(inflight) == 0 || rng.Intn(2) == 0) {
-				cs.SetReady(readyOrder[readyIdx], 1)
+				ps.SetReady(readyOrder[readyIdx])
 				readyIdx++
 			} else if len(inflight) > 0 {
 				i := rng.Intn(len(inflight))
@@ -39,9 +50,18 @@ func TestQuickCompositionSchedulerConverges(t *testing.T) {
 					return false // duplicate directed transfer
 				}
 				transfers[key] = true
-				cs.Complete(s)
+				sending[s.Sender], receiving[s.Receiver] = false, false
+				if ps.Complete(s) != nil {
+					return false
+				}
 			}
-			inflight = append(inflight, cs.NextSessions()...)
+			for _, s := range ps.NextSessions() {
+				if sending[s.Sender] || receiving[s.Receiver] {
+					return false // port double-booked
+				}
+				sending[s.Sender], receiving[s.Receiver] = true, true
+				inflight = append(inflight, s)
+			}
 		}
 		return len(transfers) == n*(n-1)
 	}

@@ -68,8 +68,11 @@ type chopinRun struct {
 
 	sched core.DrawScheduler
 	ll    *core.LeastLoadedScheduler // non-nil when the Fig. 10 scheduler is used
-	cs    *core.CompositionScheduler // non-nil when the Fig. 11 scheduler is used
 
+	// arbPlan is the direct-send plan the Fig. 12 composition arbiter runs:
+	// each opaque group drives a fresh core.PlanScheduler over it. Non-nil
+	// when Config.UseCompScheduler is set and no exchange plan supersedes it.
+	arbPlan *plan.Plan
 	// compPlan is non-nil when Config.CompAlg resolved to a non-direct-send
 	// exchange plan: opaque groups then run the plan executor instead of the
 	// paper's owner-addressed direct send.
@@ -84,10 +87,9 @@ type chopinRun struct {
 	// checkpoint.
 	curPex *planExec
 
-	steps   []core.Step
-	stepIdx int    // 1-based index of the executing step (scheduler epoch)
-	next    func() // advances the step sequence
-	prevRT  int
+	steps  []core.Step
+	next   func() // advances the step sequence
+	prevRT int
 
 	// cumDirty[g][rt] records owned tiles of g ever dirtied, surviving the
 	// per-group ClearDirty, for consistency-sync payloads.
@@ -122,13 +124,6 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 		r.ll = core.NewLeastLoaded(sys.GPUs, sys.Cfg.SchedulerQuantum, sys.Cfg.Link.LatencyCycles)
 		r.sched = r.ll
 	}
-	if sys.Cfg.UseCompScheduler {
-		cs, err := core.NewCompositionScheduler(r.n)
-		if err != nil {
-			return nil, err
-		}
-		r.cs = cs
-	}
 	if alg := sys.Cfg.CompAlg; alg != plan.AlgDirectSend && r.n > 1 {
 		// Opaque depth merge is commutative and associative, so every
 		// planner is legal; Auto picks per group size and fabric diameter.
@@ -141,6 +136,13 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 			r.compPlan = p
 			r.work = make([]*framebuffer.Buffer, r.n)
 		}
+	}
+	if sys.Cfg.UseCompScheduler && r.compPlan == nil {
+		p, err := plan.DirectSend(r.n, sys.Height())
+		if err != nil {
+			return nil, err
+		}
+		r.arbPlan = p
 	}
 	r.steps = core.Plan(fr.Draws, sys.Cfg.GroupThreshold)
 	if r.n == 1 {
@@ -332,7 +334,6 @@ func (r *chopinRun) step(i int, next func()) {
 		r.recoverFailed(len(r.fr.Draws), next)
 		return
 	}
-	r.stepIdx = i + 1
 	step := r.steps[i]
 	rt := r.fr.Draws[step.Group.Start].State.RenderTarget
 	r.touchedRTs[rt] = true
@@ -443,12 +444,7 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	readyCount := 0
 	driverDone := false
 
-	cs := r.cs
-	if cs != nil {
-		cs.Reset()
-	}
-
-	// A configured exchange plan supersedes both the composition scheduler
+	// A configured exchange plan supersedes both the composition arbiter
 	// and the naive direct send for this group (pex is assigned below;
 	// groupEnd closes over it).
 	var pex *planExec
@@ -478,20 +474,15 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		r.ex.SetPlanState(pex.planState)
 	}
 
-	// Naive direct-send bookkeeping derives from the enumerated session
-	// list — one round, all ordered pairs, each sender walking receivers in
-	// (g+1, g+2, … mod n) order, the same wire order as always — so the
-	// group completes when every actually scheduled session has drained
-	// rather than when a hardwired n·(n−1) counter hits zero.
-	var naiveSessions [][]core.Session
-	naiveRemaining := 0
-	if cs == nil && pex == nil {
-		naiveSessions = make([][]core.Session, r.n)
-		for g := range naiveSessions {
-			for off := 1; off < r.n; off++ {
-				naiveSessions[g] = append(naiveSessions[g], core.Session{Sender: g, Receiver: (g + off) % r.n})
-			}
-			naiveRemaining += len(naiveSessions[g])
+	// The composition arbiter (Figs. 11–12) starts a direct-send session
+	// only when both GPUs are ready and both ports are free; each group
+	// gets its own scheduler, so sessions never pair across groups.
+	var ps *core.PlanScheduler
+	if r.arbPlan != nil {
+		var err error
+		if ps, err = core.NewPlanScheduler(r.arbPlan); err != nil {
+			r.ex.Fail(err)
+			return
 		}
 	}
 
@@ -519,18 +510,18 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	// The group completes when all sessions AND all merges are done.
 	pendingMerges := 0
 	maybeGroupEnd := func() {
-		if cs.Done() && pendingMerges == 0 {
+		if ps.Done() && pendingMerges == 0 {
 			groupEnd()
 		}
 	}
 	var pumpScheduled func()
 	pumpScheduled = func() {
-		for _, s := range cs.NextSessions() {
+		for _, s := range ps.NextSessions() {
 			s := s
 			tiles, px := region(s.Sender, s.Receiver)
 			if px == 0 {
 				eng.After(0, func() {
-					if err := cs.Complete(s); err != nil {
+					if err := ps.Complete(s); err != nil {
 						r.ex.Fail(err)
 						return
 					}
@@ -542,7 +533,7 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 			pendingMerges++
 			bytes := int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
 			r.sys.Fabric.Send(s.Sender, s.Receiver, bytes, interconnect.ClassComposition, func() {
-				if err := cs.Complete(s); err != nil {
+				if err := ps.Complete(s); err != nil {
 					r.ex.Fail(err)
 					return
 				}
@@ -555,9 +546,13 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		}
 	}
 
+	// Naive direct send (plain CHOPIN in Fig. 13): a ready GPU sends to
+	// every other GPU at once, in (g+1, g+2, … mod n) wire order, and the
+	// group ends when all n·(n−1) transfers have merged.
+	naiveRemaining := r.n * (r.n - 1)
 	naiveSend := func(g int) {
-		for _, s := range naiveSessions[g] {
-			recv := s.Receiver
+		for off := 1; off < r.n; off++ {
+			recv := (g + off) % r.n
 			tiles, px := region(g, recv)
 			finish := func() {
 				naiveRemaining--
@@ -589,8 +584,8 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		switch {
 		case pex != nil:
 			pex.setReady(g)
-		case cs != nil:
-			cs.SetReady(g, r.stepIdx)
+		case ps != nil:
+			ps.SetReady(g)
 			pumpScheduled()
 		default:
 			naiveSend(g)

@@ -301,6 +301,39 @@ func TestCompSchedulerHelpsOrEqual(t *testing.T) {
 	}
 }
 
+// TestCHOPINPast64GPUs pins the 64-GPU split: the composition arbiter's
+// ready bits are one 64-bit word, so arbitrated CHOPIN rejects 65 GPUs with
+// an error, while naive direct send has no cap and still renders the
+// reference image.
+func TestCHOPINPast64GPUs(t *testing.T) {
+	const n = 65
+	b, err := trace.ByName("cod2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := trace.Generate(b, 0.02)
+	arbitrated := testConfig(n)
+	sys, err := multigpu.New(arbitrated, fr.Width, fr.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (CHOPIN{}).Run(sys, fr); err == nil {
+		t.Errorf("arbitrated CHOPIN at %d GPUs: want an error", n)
+	}
+
+	naive := testConfig(n)
+	naive.UseCompScheduler = false
+	ref := ReferenceImages(fr, naive.Raster)[0]
+	sys, st := runScheme(t, CHOPIN{}, naive, fr)
+	if st.GroupsAccelerated == 0 {
+		t.Fatal("no accelerated group: the exchange never ran")
+	}
+	t.Logf("%d accelerated groups, image checksum %016x", st.GroupsAccelerated, sys.AssembleImage(0).Checksum())
+	if img := sys.AssembleImage(0); !img.Equal(ref, 1e-9) {
+		t.Errorf("naive CHOPIN at %d GPUs: image differs in %d pixels", n, img.DiffCount(ref, 1e-9))
+	}
+}
+
 // TestIdealCHOPINFastest: removing link constraints can only help.
 func TestIdealCHOPINFastest(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
