@@ -113,7 +113,7 @@ func main() {
 		benches = flag.String("benches", "", "comma-separated benchmark subset (default: all eight)")
 		scheme  = flag.String("scheme", "", "single run: duplication | gpupd | sort-middle | chopin | chopin-naive | chopin-rr | chopin-reorder")
 		bench   = flag.String("bench", "cod2", "single run: benchmark name")
-		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 for chopin, chopin-reorder and exchange plans; duplication, gpupd, sort-middle, chopin-naive and chopin-rr have no cap)")
+		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 for chopin, chopin-reorder, gpupd, sort-middle and exchange plans; duplication, chopin-naive and chopin-rr have no cap)")
 		ideal   = flag.Bool("ideal", false, "single run: idealized inter-GPU links")
 		topo    = flag.String("topology", "", "single run: inter-GPU fabric: crossbar | ring | mesh (default crossbar)")
 		compAlg = flag.String("comp-alg", "", "single run: CHOPIN composition exchange plan: direct-send | binary-swap | radix-k | mixed-radix | auto (default direct-send)")

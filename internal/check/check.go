@@ -164,12 +164,12 @@ func (c *Checker) EventWatcher() func(at sim.Cycle) {
 // EventsObserved returns the number of engine events the watcher saw.
 func (c *Checker) EventsObserved() int64 { return c.events }
 
-// DepthMerge performs composite.DepthMerge(dst, src, cmp, tiles) and then
-// verifies, pixel by pixel over the merged tiles, that the merge was a
-// monotone selection: the surviving depth is exactly the cmp-winner of the
-// two inputs, the surviving colour travelled with it, and no pixel moved
-// away from the camera. The transferred pixel count is returned, like the
-// unchecked merge.
+// DepthMerge performs composite.DepthMergeRegion(dst, src, cmp, 0,
+// dst.Height(), tiles) and then verifies, pixel by pixel over the merged
+// tiles, that the merge was a monotone selection: the surviving depth is
+// exactly the cmp-winner of the two inputs, the surviving colour travelled
+// with it, and no pixel moved away from the camera. The transferred pixel
+// count is returned, like the unchecked merge.
 func (c *Checker) DepthMerge(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, tiles []int) int {
 	if tiles == nil {
 		tiles = make([]int, dst.TileCount())
@@ -194,7 +194,7 @@ func (c *Checker) DepthMerge(dst, src *framebuffer.Buffer, cmp colorspace.Compar
 			}
 		}
 	}
-	px := composite.DepthMerge(dst, src, cmp, tiles)
+	px := composite.DepthMergeRegion(dst, src, cmp, 0, dst.Height(), tiles)
 	for at, p := range pre {
 		x, y := at[0], at[1]
 		want := p

@@ -123,7 +123,7 @@ func TestCheckedDepthMergeMatchesPlain(t *testing.T) {
 
 	c := New()
 	pxChecked := c.DepthMerge(dst1, src, colorspace.CmpLess, nil)
-	pxPlain := composite.DepthMerge(dst2, src, colorspace.CmpLess, nil)
+	pxPlain := composite.DepthMergeRegion(dst2, src, colorspace.CmpLess, 0, dst2.Height(), nil)
 	if pxChecked != pxPlain {
 		t.Errorf("pixel counts differ: checked %d, plain %d", pxChecked, pxPlain)
 	}

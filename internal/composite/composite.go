@@ -5,7 +5,7 @@
 //
 //   - Opaque composition keeps, per pixel, the fragment closest to the
 //     camera. It is commutative and associative, so sub-images can be
-//     composed out-of-order ([DepthMerge]).
+//     composed out-of-order ([DepthMergeRegion]).
 //
 //   - Transparent composition blends pixels with an operator such as
 //     Porter–Duff over. Blending is NOT commutative — order matters — but it
@@ -26,33 +26,6 @@ import (
 	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
-
-// DepthMerge composes src into dst over the given tiles by keeping, per
-// pixel, the value whose depth passes cmp against the current one (for
-// CmpLess: the nearer fragment). Only src's dirty tiles are examined —
-// untouched tiles cannot contribute — and the number of transferred pixels
-// is returned for traffic accounting. Passing nil tiles merges every tile.
-func DepthMerge(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, tiles []int) (pixels int) {
-	if tiles == nil {
-		tiles = allTiles(dst)
-	}
-	for _, tl := range tiles {
-		if !src.Dirty(tl) {
-			continue
-		}
-		x0, y0, x1, y1 := dst.TileRect(tl)
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				if colorspace.Compare(cmp, src.DepthAt(x, y), dst.DepthAt(x, y)) {
-					dst.Set(x, y, src.At(x, y))
-					dst.SetDepth(x, y, src.DepthAt(x, y))
-				}
-			}
-		}
-		pixels += dst.TilePixelCount(tl)
-	}
-	return pixels
-}
 
 // BlendMerge composes the FRONT sub-image src over the BACK sub-image dst
 // with the given operator over the given tiles: dst = op(src, dst) per
@@ -129,7 +102,7 @@ func DepthReference(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) *fra
 	}
 	acc := subs[0].Clone()
 	for _, s := range subs[1:] {
-		DepthMerge(acc, s, cmp, nil)
+		DepthMergeRegion(acc, s, cmp, 0, acc.Height(), nil)
 	}
 	return acc
 }
@@ -206,9 +179,11 @@ func Apply(p *plan.Plan, subs []*framebuffer.Buffer, cmp colorspace.CompareFunc)
 	return out, pixels, nil
 }
 
-// DepthMergeRegion composes src into dst over rows [y0, y1), restricted to
-// src's dirty tiles (and, when tiles is non-nil, to that tile subset): each
-// tile's rectangle is clipped to the row range before merging. This is the
+// DepthMergeRegion composes src into dst over rows [y0, y1), keeping per
+// pixel the value whose depth passes cmp against dst's (for CmpLess: the
+// nearer fragment), restricted to src's dirty tiles (and, when tiles is
+// non-nil, to that tile subset): each tile's rectangle is clipped to the row
+// range before merging. Rows [0, Height) merge whole tiles. This is the
 // region-exchange primitive of the scheme layer's plan executor — payload
 // regions are row ranges that need not align with tile boundaries, and
 // clipping to dirty tiles keeps a buffer's cleared pixels (depth exactly

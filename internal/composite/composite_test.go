@@ -67,7 +67,7 @@ func TestDepthMergeKeepsNearer(t *testing.T) {
 	a.SetDepth(1, 1, 0.5)
 	b.Set(1, 1, green)
 	b.SetDepth(1, 1, 0.3) // nearer
-	DepthMerge(a, b, colorspace.CmpLess, nil)
+	DepthMergeRegion(a, b, colorspace.CmpLess, 0, a.Height(), nil)
 	if a.At(1, 1) != green || a.DepthAt(1, 1) != 0.3 {
 		t.Errorf("merge kept %+v at depth %v", a.At(1, 1), a.DepthAt(1, 1))
 	}
@@ -75,7 +75,7 @@ func TestDepthMergeKeepsNearer(t *testing.T) {
 	b2 := framebuffer.MustNew(64, 64)
 	b2.Set(1, 1, red)
 	b2.SetDepth(1, 1, 0.5)
-	DepthMerge(a, b2, colorspace.CmpLess, nil)
+	DepthMergeRegion(a, b2, colorspace.CmpLess, 0, a.Height(), nil)
 	if a.At(1, 1) != green {
 		t.Error("farther pixel overwrote nearer one")
 	}
@@ -87,7 +87,7 @@ func TestDepthMergeSkipsCleanTiles(t *testing.T) {
 	src.ClearDirty()
 	src.Set(1, 1, colorspace.Opaque(1, 1, 1)) // dirties tile 0 only
 	src.SetDepth(1, 1, 0.1)
-	px := DepthMerge(dst, src, colorspace.CmpLess, nil)
+	px := DepthMergeRegion(dst, src, colorspace.CmpLess, 0, dst.Height(), nil)
 	if px != 64*64 {
 		t.Errorf("transferred %d pixels, want one tile (%d)", px, 64*64)
 	}
@@ -100,7 +100,7 @@ func TestDepthMergeRestrictedTiles(t *testing.T) {
 	src.SetDepth(1, 1, 0.1)
 	src.Set(100, 100, colorspace.Opaque(0, 1, 0)) // tile 3
 	src.SetDepth(100, 100, 0.1)
-	DepthMerge(dst, src, colorspace.CmpLess, []int{3})
+	DepthMergeRegion(dst, src, colorspace.CmpLess, 0, dst.Height(), []int{3})
 	if dst.At(1, 1) == colorspace.Opaque(1, 0, 0) {
 		t.Error("merged tile outside restriction")
 	}

@@ -258,29 +258,11 @@ func BinarySwap(n, h int) (*Plan, error) {
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("plan: binary-swap requires a power-of-two GPU count, got %d", n)
 	}
+	// A power of two factors into log2(n) twos: each radix-2 round pairs g
+	// with g^stride, g keeping the top half of the pair's range and its peer
+	// the bottom half.
 	p := &Plan{Alg: AlgBinarySwap, N: n, Height: h}
-	lo, hi := fullRegions(n, h)
-	for stride := 1; stride < n; stride *= 2 {
-		var round Round
-		for g := 0; g < n; g++ {
-			peer := g ^ stride
-			if peer < g {
-				continue
-			}
-			// The pair splits its (identical) current range: g keeps the
-			// top half and receives it from peer; peer keeps the bottom
-			// half and receives it from g.
-			mid := (lo[g] + hi[g]) / 2
-			round = append(round,
-				Session{Sender: peer, Receiver: g, Region: Region{lo[g], mid}},
-				Session{Sender: g, Receiver: peer, Region: Region{mid, hi[g]}},
-			)
-			hi[g] = mid
-			lo[peer] = mid
-		}
-		p.Rounds = append(p.Rounds, round)
-	}
-	p.Final = finalRegions(lo, hi)
+	p.Rounds, p.Final = radixRounds(n, h, factorize(n))
 	return p, nil
 }
 

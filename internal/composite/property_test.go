@@ -77,7 +77,7 @@ func TestPropertyArbitraryMergeScheduleMatchesReference(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			DepthMerge(pool[i], pool[j], colorspace.CmpLess, nil)
+			DepthMergeRegion(pool[i], pool[j], colorspace.CmpLess, 0, pool[i].Height(), nil)
 			pool[j] = pool[len(pool)-1]
 			pool = pool[:len(pool)-1]
 		}
@@ -134,12 +134,12 @@ func TestPropertyMergeIdempotentOnSelfContent(t *testing.T) {
 		subs := randomSubImages(t, n, 70, 50, int64(4000+trial))
 		ref := DepthReference(subs, colorspace.CmpLess)
 		again := ref.Clone()
-		DepthMerge(again, ref, colorspace.CmpLess, nil)
+		DepthMergeRegion(again, ref, colorspace.CmpLess, 0, again.Height(), nil)
 		if !again.Equal(ref, 0) {
 			t.Fatalf("trial %d: merging an image into itself changed it", trial)
 		}
 		for _, s := range subs {
-			DepthMerge(again, s, colorspace.CmpLess, nil)
+			DepthMergeRegion(again, s, colorspace.CmpLess, 0, again.Height(), nil)
 		}
 		if !again.Equal(ref, 0) {
 			t.Fatalf("trial %d: re-merging already-composed sub-images changed the image", trial)

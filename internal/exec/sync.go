@@ -28,12 +28,7 @@ func (r *Runtime) SyncTarget(rt int, ownedTiles func(src int) []int, done func()
 		if ownedTiles != nil {
 			tiles = ownedTiles(src)
 		} else {
-			srcFB := sys.GPUs[src].Target(rt)
-			for t := 0; t < sys.TileCount(); t++ {
-				if sys.Owner(t) == src && srcFB.Dirty(t) {
-					tiles = append(tiles, t)
-				}
-			}
+			tiles = sys.OwnedDirtyTiles(sys.GPUs[src].Target(rt), src)
 		}
 		px := sys.PixelCount(tiles)
 		if px == 0 {

@@ -503,10 +503,11 @@ func (s *System) Owner(t int) int { return s.owners[t] }
 // Mask returns gpu g's tile-ownership mask (shared; do not mutate).
 func (s *System) Mask(g int) []bool { return s.masks[g] }
 
-// OwnedDirtyTiles returns the tiles of src's render target rt that are dirty
-// and owned by owner — the pixels a composition transfer to owner carries.
-func (s *System) OwnedDirtyTiles(src *gpu.GPU, rt, owner int) []int {
-	fb := src.Target(rt)
+// OwnedDirtyTiles returns, ascending, the tiles of fb that are dirty and
+// owned by owner under the current (possibly remapped) ownership — the
+// pixels a composition or broadcast transfer to owner carries. fb may be any
+// screen-sized buffer: a GPU's render target, a work copy, or a layer.
+func (s *System) OwnedDirtyTiles(fb *framebuffer.Buffer, owner int) []int {
 	var tiles []int
 	for t := 0; t < s.tileCount; t++ {
 		if s.owners[t] == owner && fb.Dirty(t) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/framebuffer"
 	"chopin/internal/gpu"
 	"chopin/internal/primitive"
 	"chopin/internal/raster"
@@ -76,19 +77,35 @@ func TestMasksPartitionScreen(t *testing.T) {
 
 func TestOwnedDirtyTiles(t *testing.T) {
 	sys := newSys(t, DefaultConfig(), 640, 480)
-	g := sys.GPUs[0]
-	fb := g.Target(0)
+	fb := sys.GPUs[0].Target(0)
 	fb.ClearDirty()
 	fb.MarkDirty(8)  // owned by GPU 0 (8 % 8)
 	fb.MarkDirty(9)  // owned by GPU 1
 	fb.MarkDirty(16) // owned by GPU 0
-	tiles := sys.OwnedDirtyTiles(g, 0, 0)
+	tiles := sys.OwnedDirtyTiles(fb, 0)
 	if len(tiles) != 2 || tiles[0] != 8 || tiles[1] != 16 {
 		t.Errorf("tiles = %v", tiles)
 	}
-	tiles = sys.OwnedDirtyTiles(g, 0, 1)
+	tiles = sys.OwnedDirtyTiles(fb, 1)
 	if len(tiles) != 1 || tiles[0] != 9 {
 		t.Errorf("tiles = %v", tiles)
+	}
+	if tiles = sys.OwnedDirtyTiles(fb, 2); tiles != nil {
+		t.Errorf("GPU 2 owns no dirty tile, got %v", tiles)
+	}
+
+	// A buffer that is no GPU's target, such as a transparent layer, is
+	// scanned under the same ownership.
+	layer := framebuffer.MustNew(640, 480)
+	layer.MarkDirty(3)  // owned by GPU 3
+	layer.MarkDirty(11) // owned by GPU 3
+	layer.MarkDirty(12) // owned by GPU 4
+	tiles = sys.OwnedDirtyTiles(layer, 3)
+	if len(tiles) != 2 || tiles[0] != 3 || tiles[1] != 11 {
+		t.Errorf("layer tiles = %v", tiles)
+	}
+	if tiles = sys.OwnedDirtyTiles(layer, 0); tiles != nil {
+		t.Errorf("layer: GPU 0 owns no dirty tile, got %v", tiles)
 	}
 }
 

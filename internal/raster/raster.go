@@ -439,26 +439,3 @@ func ProjectBounds(tri primitive.Triangle, mvp vecmath.Mat4, width, height int) 
 	}
 	return minX, minY, maxX, maxY, true
 }
-
-// CoveredTiles returns the tiles of a width×height screen whose bounding box
-// a triangle overlaps, or nil if it is fully clipped. Sort-first primitive
-// distribution sends the triangle to the owners of these tiles.
-func CoveredTiles(tri primitive.Triangle, mvp vecmath.Mat4, width, height int) []int {
-	minX, minY, maxX, maxY, ok := ProjectBounds(tri, mvp, width, height)
-	if !ok {
-		return nil
-	}
-	tilesX := (width + framebuffer.TileSize - 1) / framebuffer.TileSize
-	tilesY := (height + framebuffer.TileSize - 1) / framebuffer.TileSize
-	tx0 := max(0, int(minX)/framebuffer.TileSize)
-	ty0 := max(0, int(minY)/framebuffer.TileSize)
-	tx1 := min(tilesX-1, int(maxX)/framebuffer.TileSize)
-	ty1 := min(tilesY-1, int(maxY)/framebuffer.TileSize)
-	var out []int
-	for ty := ty0; ty <= ty1; ty++ {
-		for tx := tx0; tx <= tx1; tx++ {
-			out = append(out, ty*tilesX+tx)
-		}
-	}
-	return out
-}

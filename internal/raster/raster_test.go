@@ -370,28 +370,6 @@ func TestProjectBounds(t *testing.T) {
 	}
 }
 
-func TestCoveredTiles(t *testing.T) {
-	const w, h = 256, 128 // 4×2 tiles
-	view, proj := orthoCams(w, h)
-	mvp := proj.Mul(view)
-
-	// Triangle inside tile (0,0) only.
-	tr := tri(colorspace.Opaque(1, 1, 1), 5,
-		vecmath.Vec2{X: 5, Y: 5}, vecmath.Vec2{X: 60, Y: 5}, vecmath.Vec2{X: 5, Y: 60})
-	tiles := CoveredTiles(tr, mvp, w, h)
-	if len(tiles) != 1 || tiles[0] != 0 {
-		t.Errorf("tiles = %v, want [0]", tiles)
-	}
-
-	// Triangle spanning all four columns of the top row.
-	wide := tri(colorspace.Opaque(1, 1, 1), 5,
-		vecmath.Vec2{X: 1, Y: 10}, vecmath.Vec2{X: 255, Y: 10}, vecmath.Vec2{X: 128, Y: 50})
-	tiles = CoveredTiles(wide, mvp, w, h)
-	if len(tiles) != 4 {
-		t.Errorf("tiles = %v, want top row", tiles)
-	}
-}
-
 func TestDegenerateTriangleSkipped(t *testing.T) {
 	const w, h = 16, 16
 	fb := framebuffer.MustNew(w, h)

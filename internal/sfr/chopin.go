@@ -291,16 +291,13 @@ func (r *chopinRun) recoverFailed(boundary int, then func()) {
 // cumulative set, under the system's current — possibly remapped — tile
 // ownership.
 func (r *chopinRun) foldDirty(g, rt int) {
-	fb := r.sys.GPUs[g].Target(rt)
 	set := r.cumDirty[g][rt]
 	if set == nil {
 		set = map[int]bool{}
 		r.cumDirty[g][rt] = set
 	}
-	for t := 0; t < r.sys.TileCount(); t++ {
-		if r.sys.Owner(t) == g && fb.Dirty(t) {
-			set[t] = true
-		}
+	for _, t := range r.sys.OwnedDirtyTiles(r.sys.GPUs[g].Target(rt), g) {
+		set[t] = true
 	}
 }
 
@@ -489,7 +486,7 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	// region computes the transfer payload sender→receiver: sender's tiles
 	// dirtied by this group that receiver owns.
 	region := func(sender, receiver int) ([]int, int) {
-		tiles := r.sys.OwnedDirtyTiles(r.sys.GPUs[sender], rt, receiver)
+		tiles := r.sys.OwnedDirtyTiles(r.sys.GPUs[sender].Target(rt), receiver)
 		return tiles, r.sys.PixelCount(tiles)
 	}
 	applyMerge := func(sender, receiver int, tiles []int) func() {
@@ -501,7 +498,7 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 				ck.DepthMerge(dst, src, mergeCmp, tiles)
 				return
 			}
-			composite.DepthMerge(dst, src, mergeCmp, tiles)
+			composite.DepthMergeRegion(dst, src, mergeCmp, 0, dst.Height(), tiles)
 		}
 	}
 
@@ -712,12 +709,7 @@ func (r *chopinRun) transparentBody(grp primitive.Group, rt int, op colorspace.B
 		layer := layers[holder]
 		bar := r.ex.TracedBarrier("background merge", groupEnd)
 		for owner := 0; owner < r.n; owner++ {
-			var tiles []int
-			for t := 0; t < r.sys.TileCount(); t++ {
-				if r.sys.Owner(t) == owner && layer.Dirty(t) {
-					tiles = append(tiles, t)
-				}
-			}
+			tiles := r.sys.OwnedDirtyTiles(layer, owner)
 			px := r.sys.PixelCount(tiles)
 			if px == 0 {
 				continue

@@ -30,12 +30,12 @@ func (GPUpd) Name() string { return "GPUpd" }
 
 // batchPiece is a contiguous triangle range of one draw inside a batch.
 type batchPiece struct {
-	draw     int // index into frame draws
-	lo, hi   int // triangle range [lo, hi)
-	triStart int // global primitive index of lo (for stats)
+	draw   int // index into frame draws
+	lo, hi int // triangle range [lo, hi)
 }
 
-// batch is a primitive batch: the unit of the batching optimization.
+// batch is a primitive batch: the unit of the batching optimization. It
+// holds at most one piece per draw.
 type batch struct {
 	pieces []batchPiece
 	tris   int
@@ -49,7 +49,6 @@ func makeBatches(draws []primitive.DrawCommand, start, end, batchSize int) []bat
 	}
 	var out []batch
 	cur := batch{}
-	globalTri := 0
 	for di := start; di < end; di++ {
 		n := draws[di].TriangleCount()
 		lo := 0
@@ -59,10 +58,9 @@ func makeBatches(draws []primitive.DrawCommand, start, end, batchSize int) []bat
 			if take > room {
 				take = room
 			}
-			cur.pieces = append(cur.pieces, batchPiece{draw: di, lo: lo, hi: lo + take, triStart: globalTri})
+			cur.pieces = append(cur.pieces, batchPiece{draw: di, lo: lo, hi: lo + take})
 			cur.tris += take
 			lo += take
-			globalTri += take
 			if cur.tris == batchSize {
 				out = append(out, cur)
 				cur = batch{}
@@ -77,29 +75,14 @@ func makeBatches(draws []primitive.DrawCommand, start, end, batchSize int) []bat
 
 // Run implements Scheme.
 func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, error) {
+	bn, err := newBinner(sys, fr)
+	if err != nil {
+		return nil, err
+	}
 	r := exec.New("GPUpd", sys, fr)
 	r.OwnTiles()
 	eng := sys.Eng
 	n := sys.Cfg.NumGPUs
-
-	// dests caches, per draw, the destination-GPU bitmask of each triangle.
-	dests := make([][]uint64, len(fr.Draws))
-	destMask := func(di, ti int) uint64 {
-		if dests[di] == nil {
-			d := &fr.Draws[di]
-			mvp := fr.Proj.Mul(fr.View).Mul(d.Model)
-			masks := make([]uint64, len(d.Tris))
-			for i := range d.Tris {
-				var m uint64
-				for _, tile := range raster.CoveredTiles(d.Tris[i], mvp, fr.Width, fr.Height) {
-					m |= 1 << uint(sys.Owner(tile))
-				}
-				masks[i] = m
-			}
-			dests[di] = masks
-		}
-		return dests[di][ti]
-	}
 
 	r.RunSegments(func(seg exec.Segment, done func()) {
 		segStart := eng.Now()
@@ -125,40 +108,16 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 		// submitBatch runs the normal pipeline on dst's share of batch b
 		// (runahead execution: called as soon as the batch is delivered).
 		submitBatch := func(b *batch, dst int) {
-			var cur *primitive.DrawCommand
-			var sub primitive.DrawCommand
-			flush := func() {
-				if cur == nil || len(sub.Tris) == 0 {
-					cur = nil
-					return
+			for _, p := range b.pieces {
+				sub := bn.sub(p.draw, p.lo, p.hi, dst)
+				if len(sub.Tris) == 0 {
+					continue
 				}
 				bar.Add(1)
 				sys.GPUs[dst].SubmitDraw(sub, fr.View, fr.Proj, gpu.DrawOpts{
 					OnDone: func(*raster.DrawResult) { bar.Done() },
 				})
-				cur = nil
 			}
-			for _, p := range b.pieces {
-				d := &fr.Draws[p.draw]
-				if cur != d {
-					flush()
-					cur = d
-					sub = primitive.DrawCommand{
-						ID:         d.ID,
-						Model:      d.Model,
-						State:      d.State,
-						VertexCost: d.VertexCost,
-						PixelCost:  d.PixelCost,
-						TextureID:  d.TextureID,
-					}
-				}
-				for ti := p.lo; ti < p.hi; ti++ {
-					if destMask(p.draw, ti)&(1<<uint(dst)) != 0 {
-						sub.Tris = append(sub.Tris, d.Tris[ti])
-					}
-				}
-			}
-			flush()
 		}
 
 		// Distribution of batch bi: each source GPU in turn sends, to each
@@ -168,34 +127,22 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 		var distribute func(bi int)
 		distribute = func(bi int) {
 			b := &batches[bi]
-			// Triangle index ranges of each source GPU's projection slice.
-			slice := func(src int) (int, int) {
-				lo := b.tris * src / n
-				hi := b.tris * (src + 1) / n
-				return lo, hi
-			}
-			// counts[src][dst] = IDs src sends to dst.
+			// counts[src][dst] = IDs src sends to dst. Source GPU src
+			// projected the batch's triangles [tris·src/n, tris·(src+1)/n).
 			counts := make([][]int64, n)
 			for src := 0; src < n; src++ {
 				counts[src] = make([]int64, n)
 			}
-			idx := 0
+			idx, from := 0, 0 // batch position and the source GPU projecting it
 			for _, p := range b.pieces {
-				for ti := p.lo; ti < p.hi; ti++ {
-					src := 0
-					for s := 0; s < n; s++ {
-						if lo, hi := slice(s); idx >= lo && idx < hi {
-							src = s
-							break
-						}
+				for lo := p.lo; lo < p.hi; {
+					for idx >= b.tris*(from+1)/n {
+						from++
 					}
-					m := destMask(p.draw, ti)
-					for dst := 0; dst < n; dst++ {
-						if m&(1<<uint(dst)) != 0 && dst != src {
-							counts[src][dst]++
-						}
-					}
-					idx++
+					hi := min(p.hi, lo+b.tris*(from+1)/n-idx)
+					bn.count(counts[from], from, p.draw, lo, hi)
+					idx += hi - lo
+					lo = hi
 				}
 			}
 			pendingMsgs := 0

@@ -484,12 +484,11 @@ func (px *planExec) scatter() {
 			if !r.sys.Alive(owner) {
 				continue
 			}
-			var tiles []int
+			// Keep the owned dirty tiles that meet the final rows, in place.
+			owned := r.sys.OwnedDirtyTiles(w, owner)
+			tiles := owned[:0]
 			pxCount := 0
-			for t := 0; t < r.sys.TileCount(); t++ {
-				if r.sys.Owner(t) != owner || !w.Dirty(t) {
-					continue
-				}
+			for _, t := range owned {
 				x0, y0, x1, y1 := w.TileRect(t)
 				cy0, cy1 := max(y0, fr.Lo), min(y1, fr.Hi)
 				if cy1 <= cy0 {

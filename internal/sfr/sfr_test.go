@@ -334,6 +334,49 @@ func TestCHOPINPast64GPUs(t *testing.T) {
 	}
 }
 
+// TestPrimitiveDistributionAt64GPUs: GPUpd and sort-middle route triangles
+// to every owner up to 64 GPUs. grid at 0.2 is 572×457, 72 tiles, so GPU 63
+// owns a tile and must rasterize fragments on it.
+func TestPrimitiveDistributionAt64GPUs(t *testing.T) {
+	const n = 64
+	b, err := trace.ByName("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := trace.Generate(b, 0.2) // not testFrame: its cache ignores the scale
+	cfg := testConfig(n)
+	ref := ReferenceImages(fr, cfg.Raster)[0]
+	for _, s := range []Scheme{GPUpd{}, SortMiddle{}} {
+		sys, _ := runScheme(t, s, cfg, fr)
+		if sys.TileCount() <= n {
+			t.Fatalf("%d tiles: GPU %d owns none", sys.TileCount(), n-1)
+		}
+		if sys.GPUs[n-1].Stats().Raster.FragsGenerated == 0 {
+			t.Errorf("%s: GPU %d generated no fragments", s.Name(), n-1)
+		}
+		if img := sys.AssembleImage(0); !img.Equal(ref, 1e-9) {
+			t.Errorf("%s at %d GPUs: image differs in %d pixels", s.Name(), n, img.DiffCount(ref, 1e-9))
+		}
+	}
+}
+
+// TestPrimitiveDistributionPast64GPUs: a destination mask is one 64-bit
+// word, so GPUpd and sort-middle reject 65 GPUs instead of dropping the
+// triangles bound for GPU 64.
+func TestPrimitiveDistributionPast64GPUs(t *testing.T) {
+	const n = 65
+	fr := testFrame(t, "cod2", 0.02)
+	for _, s := range []Scheme{GPUpd{}, SortMiddle{}} {
+		sys, err := multigpu.New(testConfig(n), fr.Width, fr.Height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(sys, fr); err == nil {
+			t.Errorf("%s at %d GPUs: want an error", s.Name(), n)
+		}
+	}
+}
+
 // TestIdealCHOPINFastest: removing link constraints can only help.
 func TestIdealCHOPINFastest(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)

@@ -34,29 +34,14 @@ func (SortMiddle) Name() string { return "SortMiddle" }
 
 // Run implements Scheme.
 func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, error) {
+	bn, err := newBinner(sys, fr)
+	if err != nil {
+		return nil, err
+	}
 	r := exec.New("SortMiddle", sys, fr)
 	r.OwnTiles()
 	eng := sys.Eng
 	n := sys.Cfg.NumGPUs
-
-	// Destination owners per triangle, shared with the GPUpd approach.
-	dests := make([][]uint64, len(fr.Draws))
-	destMask := func(di, ti int) uint64 {
-		if dests[di] == nil {
-			d := &fr.Draws[di]
-			mvp := fr.Proj.Mul(fr.View).Mul(d.Model)
-			masks := make([]uint64, len(d.Tris))
-			for i := range d.Tris {
-				var m uint64
-				for _, tile := range raster.CoveredTiles(d.Tris[i], mvp, fr.Width, fr.Height) {
-					m |= 1 << uint(sys.Owner(tile))
-				}
-				masks[i] = m
-			}
-			dests[di] = masks
-		}
-		return dests[di][ti]
-	}
 
 	r.RunSegments(func(seg exec.Segment, done func()) {
 		segStart := eng.Now()
@@ -78,21 +63,8 @@ func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameSt
 		})
 		rasterize := func() {
 			for i := seg.Start; i < seg.End; i++ {
-				d := fr.Draws[i]
 				for dst := 0; dst < n; dst++ {
-					sub := primitive.DrawCommand{
-						ID:         d.ID,
-						Model:      d.Model,
-						State:      d.State,
-						VertexCost: d.VertexCost,
-						PixelCost:  d.PixelCost,
-						TextureID:  d.TextureID,
-					}
-					for ti := range d.Tris {
-						if destMask(i, ti)&(1<<uint(dst)) != 0 {
-							sub.Tris = append(sub.Tris, d.Tris[ti])
-						}
-					}
+					sub := bn.sub(i, 0, fr.Draws[i].TriangleCount(), dst)
 					if len(sub.Tris) == 0 {
 						continue
 					}
@@ -121,14 +93,7 @@ func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameSt
 			d := &fr.Draws[i]
 			src := (i - seg.Start) % n
 			counts := make([]int64, n)
-			for ti := range d.Tris {
-				m := destMask(i, ti)
-				for dst := 0; dst < n; dst++ {
-					if m&(1<<uint(dst)) != 0 && dst != src {
-						counts[dst]++
-					}
-				}
-			}
+			bn.count(counts, src, i, 0, d.TriangleCount())
 			geomPending++
 			sys.GPUs[src].SubmitGeometry(d.VertexCount(), d.TriangleCount(), d.VertexCost, func() {
 				geomPending--
